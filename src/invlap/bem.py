@@ -15,6 +15,8 @@ Conventions
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,11 @@ class BoundaryMesh:
     Arrays are aligned by element: segment start/end points, midpoints,
     outward unit normals, lengths, a condition tag per element, and the
     spatial boundary value carried by that condition.
+
+    The quadrature geometry of :func:`assemble` and :func:`eval_interior`
+    is built from these arrays on first use and kept on the mesh, so they
+    must not change afterwards; :func:`discretize_rectangle` makes them
+    read-only.
     """
 
     starts: np.ndarray
@@ -75,6 +82,14 @@ class BoundaryMesh:
         for k in self.bc_kind:
             if k not in (DIRICHLET, NEUMANN):
                 raise ValueError(f"unknown boundary condition kind {k!r}")
+
+    @functools.cached_property
+    def _boundary_quadrature(self) -> "_BoundaryQuadrature":
+        return _boundary_quadrature(self)
+
+    @functools.cached_property
+    def _interior_quadratures(self) -> "_InteriorCache":
+        return _InteriorCache()
 
 
 _SIDE_ORDER = ("bottom", "right", "top", "left")
@@ -123,9 +138,13 @@ def discretize_rectangle(width: float, height: float, n_per_unit: int,
     lengths = np.linalg.norm(seg, axis=1)
     tangents = seg / lengths[:, None]
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    mesh = BoundaryMesh(starts=starts, ends=ends, midpoints=0.5 * (starts + ends),
+    midpoints = 0.5 * (starts + ends)
+    bc_value = np.array(values)
+    for arr in (starts, ends, midpoints, normals, tangents, lengths, bc_value):
+        arr.flags.writeable = False
+    mesh = BoundaryMesh(starts=starts, ends=ends, midpoints=midpoints,
                         normals=normals, tangents=tangents, lengths=lengths,
-                        bc_kind=tuple(kinds), bc_value=np.array(values))
+                        bc_kind=tuple(kinds), bc_value=bc_value)
     mesh.validate()
     return mesh
 
@@ -176,56 +195,71 @@ def _gauss_points(mesh: BoundaryMesh, split: int):
     return pts, w
 
 
-def _layer_integrals(targets: np.ndarray, mesh: BoundaryMesh, q: complex):
-    """Single- and double-layer integrals of the K0 kernel.
+@dataclass(frozen=True)
+class _BoundaryQuadrature:
+    """The q-independent part of :func:`assemble` for one mesh.
 
-    Returns (G, H) with shape (n_targets, n_elements); H here is the bare
-    integral of dG/dn without any jump term.
+    Off-diagonal entry k of G and H, at (rows[k], cols[k]), sums the
+    quadrature points starts[k] up to starts[k + 1] of the flat point
+    arrays: the far rule, or the composite rule on pairs closer than
+    NEAR_FIELD_FACTOR element lengths.  Point m lies at distance
+    r[index[m]] from the collocation point and carries the weight of K0 in
+    G and of q K1 in H.  The self integrals of G sample K0 at the distances
+    diag_s, found at r[diag_index].  r holds each distinct distance once.
     """
-    pts, w = _gauss_points(mesh, 1)
-    rvec = pts[None, :, :, :] - targets[:, None, None, :]
-    r = np.linalg.norm(rvec, axis=-1)
-    safe_r = np.where(r == 0.0, 1.0, r)
-    k0, k1 = k01_values(q * safe_r)
-    costh = np.einsum("tjgd,jd->tjg", rvec, mesh.normals) / safe_r
-    gmat = (mesh.lengths[None, :] / 2.0) * np.einsum("g,tjg->tj", w, k0) / (2.0 * np.pi)
-    hker = -(q / (2.0 * np.pi)) * k1 * costh
-    hmat = (mesh.lengths[None, :] / 2.0) * np.einsum("g,tjg->tj", w, hker)
-    return gmat, hmat
+
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    index: np.ndarray
+    g_weight: np.ndarray
+    h_weight: np.ndarray
+    diag_s: np.ndarray
+    diag_index: np.ndarray
+    diag_weight: np.ndarray
+    r: np.ndarray
 
 
-def _layer_integrals_paired(targets: np.ndarray, mesh: BoundaryMesh, q: complex,
-                            element_idx: np.ndarray, split: int):
-    """Layer integrals for matched (target, element) pairs only."""
-    pts, w = _gauss_points(mesh, split)
-    pts = pts[element_idx]
-    normals = mesh.normals[element_idx]
-    lengths = mesh.lengths[element_idx]
-    rvec = pts - targets[:, None, :]
-    r = np.linalg.norm(rvec, axis=-1)
-    k0, k1 = k01_values(q * r)
-    costh = np.einsum("mgd,md->mg", rvec, normals) / r
-    g = (lengths / 2.0) * (k0 @ w) / (2.0 * np.pi)
-    h = (lengths / 2.0) * ((-(q / (2.0 * np.pi)) * k1 * costh) @ w)
-    return g, h
+def _boundary_quadrature(mesh: BoundaryMesh) -> _BoundaryQuadrature:
+    n = mesh.n_elements
+    mid = mesh.midpoints
+    dist = np.linalg.norm(mid[:, None, :] - mid[None, :, :], axis=-1)
+    scale = np.maximum(mesh.lengths[:, None], mesh.lengths[None, :])
+    off = ~np.eye(n, dtype=bool)
+    near = (dist < NEAR_FIELD_FACTOR * scale) & off
+    rows, cols, r, g_weight, h_weight, counts = [], [], [], [], [], []
+    for pairs, split in ((off & ~near, 1), (near, NEAR_FIELD_SPLIT)):
+        i, j = np.nonzero(pairs)
+        pts, w = _gauss_points(mesh, split)
+        rvec = pts[j] - mid[i][:, None, :]
+        rij = np.linalg.norm(rvec, axis=-1)
+        costh = np.einsum("mgd,md->mg", rvec, mesh.normals[j]) / rij
+        wl = (mesh.lengths[j][:, None] / 2.0) * w[None, :] / (2.0 * np.pi)
+        rows.append(i)
+        cols.append(j)
+        r.append(rij.ravel())
+        g_weight.append(wl.ravel())
+        h_weight.append(-(wl * costh).ravel())
+        counts.append(np.full(i.size, w.size))
 
-
-def _diagonal_g(mesh: BoundaryMesh, q: complex) -> np.ndarray:
-    """Self integrals of K0 with the log singularity removed analytically.
-
-    Writing K0(qs) = R(qs) - ln(qs/2) - gamma with R smooth and R(0) = 0,
-    the log part integrates in closed form over the half element while R
-    is handled by regular quadrature.
-    """
+    # K0(qs) = R(qs) - ln(qs/2) - gamma with R smooth and R(0) = 0: the log
+    # part of a self integral is integrated in closed form over the half
+    # element, R by the Gauss rule on s in [0, L/2]
     u, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
     half = mesh.lengths / 2.0
-    s = 0.5 * half[:, None] * (u[None, :] + 1.0)
-    z = q * s
-    k0, _ = k01_values(z)
-    smooth = k0 + np.log(0.5 * z) + EULER_GAMMA
-    quad = 0.5 * half * (smooth @ w)
-    closed = half * (1.0 - EULER_GAMMA - np.log(q * mesh.lengths / 4.0))
-    return (quad + closed) / np.pi
+    diag_s = 0.5 * half[:, None] * (u[None, :] + 1.0)
+
+    r_all = np.concatenate(r + [diag_s.ravel()])
+    r_distinct, inverse = np.unique(r_all, return_inverse=True)
+    inverse = inverse.ravel()
+    n_off = r_all.size - diag_s.size
+    counts = np.concatenate(counts)
+    return _BoundaryQuadrature(
+        rows=np.concatenate(rows), cols=np.concatenate(cols),
+        starts=np.cumsum(counts) - counts, index=inverse[:n_off],
+        g_weight=np.concatenate(g_weight), h_weight=np.concatenate(h_weight),
+        diag_s=diag_s, diag_index=inverse[n_off:].reshape(diag_s.shape),
+        diag_weight=0.5 * half[:, None] * w[None, :] / np.pi, r=r_distinct)
 
 
 def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
@@ -235,30 +269,31 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     Gauss-Legendre quadrature with near-field subdivision; the singular
     diagonal of G subtracts and integrates the log singularity in closed
     form, and the flat-element diagonal of H is exactly the 1/2 jump term.
+    The quadrature geometry is built once per mesh, and K0/K1 are
+    evaluated once per distinct distance.
     """
     q = complex(q)
     if q.real <= 0:
         raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p/alpha)")
+    quad = mesh._boundary_quadrature
+    k0, k1 = k01_values(q * quad.r)
+    g_off = np.add.reduceat(k0[quad.index] * quad.g_weight, quad.starts)
+    h_off = q * np.add.reduceat(k1[quad.index] * quad.h_weight, quad.starts)
+    bad = ~(np.isfinite(g_off) & np.isfinite(h_off))
+    if bad.any():
+        pairs = list(zip(quad.rows[bad][:3].tolist(), quad.cols[bad][:3].tolist()))
+        raise FloatingPointError(f"non-finite kernel integrals at element pairs {pairs}")
+
     n = mesh.n_elements
-    gmat, hmat = _layer_integrals(mesh.midpoints, mesh, q)
-    if not (np.all(np.isfinite(np.where(np.eye(n, dtype=bool), 0, gmat)))
-            and np.all(np.isfinite(np.where(np.eye(n, dtype=bool), 0, hmat)))):
-        bad = np.argwhere(~np.isfinite(hmat) | ~np.isfinite(gmat))
-        bad = [tuple(b) for b in bad if b[0] != b[1]][:3]
-        raise FloatingPointError(f"non-finite kernel integrals at element pairs {bad}")
-
-    # near-field refinement: close but non-singular pairs get a composite rule
-    dist = np.linalg.norm(mesh.midpoints[:, None, :] - mesh.midpoints[None, :, :], axis=-1)
-    scale = np.maximum(mesh.lengths[:, None], mesh.lengths[None, :])
-    near_i, near_j = np.nonzero((dist < NEAR_FIELD_FACTOR * scale) & ~np.eye(n, dtype=bool))
-    if near_i.size:
-        gn, hn = _layer_integrals_paired(mesh.midpoints[near_i], mesh, q,
-                                         near_j, NEAR_FIELD_SPLIT)
-        gmat[near_i, near_j] = gn
-        hmat[near_i, near_j] = hn
-
+    gmat = np.empty((n, n), dtype=complex)
+    hmat = np.empty((n, n), dtype=complex)
+    gmat[quad.rows, quad.cols] = g_off
+    hmat[quad.rows, quad.cols] = h_off
     idx = np.arange(n)
-    gmat[idx, idx] = _diagonal_g(mesh, q)
+    z = q * quad.diag_s
+    smooth = k0[quad.diag_index] + np.log(0.5 * z) + EULER_GAMMA
+    closed = mesh.lengths * (1.0 - EULER_GAMMA - np.log(q * mesh.lengths / 4.0)) / (2.0 * np.pi)
+    gmat[idx, idx] = (smooth * quad.diag_weight).sum(axis=1) + closed
     hmat[idx, idx] = 0.5
     return HelmholtzSystem(h=hmat, g=gmat, q=q)
 
@@ -305,36 +340,90 @@ def _winding_number(mesh: BoundaryMesh, point: np.ndarray) -> float:
     return float(ang.sum())
 
 
+@dataclass(frozen=True)
+class _InteriorQuadrature:
+    """The q-independent part of :func:`eval_interior` at one point.
+
+    Composite-rule point g of element j lies at distance dist[j, g] =
+    r[index[j, g]] from the evaluation point, in the unit direction
+    unit[j, g], at cosine costh[j, g] to the element normal, with weight
+    weight[j, g].  r holds each distinct distance once.
+    """
+
+    r: np.ndarray
+    index: np.ndarray
+    dist: np.ndarray
+    unit: np.ndarray
+    costh: np.ndarray
+    weight: np.ndarray
+    flags: tuple
+
+
+def _interior_quadrature(mesh: BoundaryMesh, pt: np.ndarray) -> _InteriorQuadrature:
+    flags = []
+    if abs(_winding_number(mesh, pt)) < np.pi:
+        flags.append(FLAG_OUTSIDE_DOMAIN)
+    pts, w = _gauss_points(mesh, NEAR_FIELD_SPLIT)
+    rvec = pts - pt[None, None, :]
+    dist = np.linalg.norm(rvec, axis=-1)
+    if float(np.min(dist)) < 0.5 * float(np.max(mesh.lengths)):
+        flags.append(FLAG_NEAR_BOUNDARY)
+    r, index = np.unique(dist.ravel(), return_inverse=True)
+    return _InteriorQuadrature(
+        r=r, index=index.reshape(dist.shape), dist=dist,
+        unit=rvec / dist[..., None],
+        costh=np.einsum("jgd,jd->jg", rvec, mesh.normals) / dist,
+        weight=0.5 * mesh.lengths[:, None] * w[None, :], flags=tuple(flags))
+
+
+#: Evaluation points whose quadrature one mesh keeps; a full cache is
+#: emptied before the next point is added.
+INTERIOR_CACHE_SIZE = 64
+
+
+class _InteriorCache:
+    """Interior quadratures of one mesh, keyed by evaluation point."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items = {}
+
+    def __reduce__(self):
+        # a lock cannot be pickled; a copied mesh starts with an empty cache
+        return _InteriorCache, ()
+
+    def get(self, mesh: BoundaryMesh, pt: np.ndarray) -> _InteriorQuadrature:
+        key = tuple(pt.tolist())
+        with self._lock:
+            quad = self._items.get(key)
+            if quad is None:
+                if len(self._items) >= INTERIOR_CACHE_SIZE:
+                    self._items.clear()
+                quad = self._items[key] = _interior_quadrature(mesh, pt)
+        return quad
+
+
 def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     """Potential and gradient at an interior point from the boundary data.
 
     Uses the representation u(xi) = int G flux - int u dG/dn with c = 1;
     the gradient differentiates both kernels analytically (K1 terms).
     Returns (phi, grad, flags); points outside or within half an element
-    length of the boundary are flagged rather than rejected.
+    length of the boundary are flagged rather than rejected.  The
+    quadrature geometry and flags are built once per (mesh, point).
     """
-    pt = np.asarray(point, dtype=float)
+    quad = mesh._interior_quadratures.get(mesh, np.asarray(point, dtype=float))
     q = solution.q
-    flags = []
-    if abs(_winding_number(mesh, pt)) < np.pi:
-        flags.append(FLAG_OUTSIDE_DOMAIN)
+    k0, k1 = k01_values(q * quad.r)
+    k0 = k0[quad.index]
+    k1 = k1[quad.index]
+    r, e, costh, wl = quad.dist, quad.unit, quad.costh, quad.weight
 
-    pts, w = _gauss_points(mesh, NEAR_FIELD_SPLIT)
-    rvec = pts - pt[None, None, :]
-    r = np.linalg.norm(rvec, axis=-1)
-    min_dist = float(np.min(r))
-    if min_dist < 0.5 * float(np.max(mesh.lengths)):
-        flags.append(FLAG_NEAR_BOUNDARY)
-    k0, k1 = k01_values(q * r)
-    costh = np.einsum("jgd,jd->jg", rvec, mesh.normals) / r
-
-    wl = 0.5 * mesh.lengths[:, None] * w[None, :]
     g_row = (wl * k0).sum(axis=1) / (2.0 * np.pi)
     h_row = (wl * (-(q / (2.0 * np.pi)) * k1 * costh)).sum(axis=1)
     phi = g_row @ solution.flux - h_row @ solution.phi
 
     # gradients of the kernels with respect to the evaluation point
-    e = rvec / r[..., None]
     grad_g_ker = (q / (2.0 * np.pi)) * k1[..., None] * e
     u_un = e * costh[..., None]
     grad_h_ker = -(q / (2.0 * np.pi)) * (
@@ -344,7 +433,7 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     grad_g_row = (wl[..., None] * grad_g_ker).sum(axis=1)
     grad_h_row = (wl[..., None] * grad_h_ker).sum(axis=1)
     grad = (grad_g_row.T @ solution.flux - grad_h_row.T @ solution.phi)
-    return phi, grad, tuple(flags)
+    return phi, grad, quad.flags
 
 
 def dump_mesh(mesh: BoundaryMesh, stream):

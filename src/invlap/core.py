@@ -399,9 +399,8 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid, params=None) -> 
 class CountingImage:
     """Wrap an image callable with a thread-safe call counter."""
 
-    def __init__(self, fn, sigma: float = 0.0):
+    def __init__(self, fn):
         self.fn = fn
-        self.sigma = sigma
         self.calls = 0
         self._lock = threading.Lock()
 

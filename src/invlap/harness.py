@@ -95,7 +95,7 @@ class BemImage:
     """
 
     def __init__(self, mesh: bem.BoundaryMesh, observation, behavior, alpha=1.0):
-        self._counting = CountingImage(self._solve, sigma=behavior.sigma)
+        self._counting = CountingImage(self._solve)
         self.mesh = mesh
         self.observation = tuple(observation)
         self.behavior = behavior
@@ -104,10 +104,6 @@ class BemImage:
     @property
     def calls(self) -> int:
         return self._counting.calls
-
-    @property
-    def sigma(self) -> float:
-        return self._counting.sigma
 
     def _solve(self, p: complex):
         q = np.sqrt(p / self.alpha)
@@ -296,7 +292,7 @@ def run_pairs_benchmark(methods, pairs, terms: int, grid: TimeGrid) -> list:
         strategy = (SamplingStrategy.PER_TIME_OPTIMAL if method == "stehfest"
                     else SamplingStrategy.SHARED_GLOBAL)
         for pair in pairs:
-            image = CountingImage(pair.image, sigma=pair.sigma)
+            image = CountingImage(pair.image)
             plan = plan_samples(method, grid, terms, strategy, sigma=pair.sigma)
             samples = evaluate_image(plan, image)
             result = invert_all(method, samples, grid)

@@ -257,11 +257,17 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
         return -BENCH_AMPLITUDE * f, BENCH_AMPLITUDE * f
 
     # Crank-Nicolson and the backward-Euler half-step share the same
-    # implicit operator I - (dt/2) alpha D2 in banded storage
-    ab = np.zeros((3, nx - 1))
-    ab[0, 1:] = -0.5 * mu
-    ab[1, :] = 1.0 + mu
-    ab[2, :-1] = -0.5 * mu
+    # implicit operator I - (dt/2) alpha D2, factorized once
+    off = np.full(nx - 2, -0.5 * mu)
+    *lu, info = scipy.linalg.lapack.dgttrf(off, np.full(nx - 1, 1.0 + mu), off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Crank-Nicolson operator is singular (dgttrf info {info})")
+
+    def implicit_solve(rhs):
+        x, info = scipy.linalg.lapack.dgttrs(*lu, rhs)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Crank-Nicolson solve failed (dgttrs info {info})")
+        return x
 
     u = np.zeros(nx + 1)
     restart_times = [0.0]
@@ -299,13 +305,13 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
                 rhs = u[1:-1].copy()
                 rhs[0] += 0.5 * mu * lo
                 rhs[-1] += 0.5 * mu * hi
-                u[1:-1] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+                u[1:-1] = implicit_solve(rhs)
                 u[0], u[-1] = lo, hi
         else:
             rhs = u[1:-1] + 0.5 * mu * (u[2:] - 2 * u[1:-1] + u[:-2])
             rhs[0] += 0.5 * mu * lo_next
             rhs[-1] += 0.5 * mu * hi_next
-            u[1:-1] = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            u[1:-1] = implicit_solve(rhs)
             u[0], u[-1] = lo_next, hi_next
         prev_t, t_now = t_now, t_next
         while out_idx < t_out.size and t_out[out_idx] <= t_now + 1e-12:

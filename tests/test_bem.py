@@ -1,11 +1,13 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlap import bem
+import reference_bem
+from invlap import bem, specfun
 from invlap.oracles import benchmark_laplace_1d
 
 OBS = (1.0 / 3.0, 1.0)
@@ -63,6 +65,22 @@ def test_bad_bc_spec_rejected():
             "top": (bem.NEUMANN, 0.0), "bottom": (bem.NEUMANN, 0.0)})
 
 
+def test_used_mesh_pickles():
+    mesh = bem.benchmark_rectangle_mesh(2)
+    phi, grad, _ = _solve_interior(mesh, 2.0 + 1.0j)
+    copy = pickle.loads(pickle.dumps(mesh))
+    phi_copy, grad_copy, _ = _solve_interior(copy, 2.0 + 1.0j)
+    assert phi_copy == phi
+    assert np.array_equal(grad_copy, grad)
+
+
+def test_mesh_arrays_read_only(mesh2):
+    for name in ("starts", "ends", "midpoints", "normals", "tangents", "lengths",
+                 "bc_value"):
+        with pytest.raises(ValueError):
+            getattr(mesh2, name)[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -81,6 +99,50 @@ def test_kernel_decay_at_large_real_q(mesh4):
                           axis=-1)
     far = dist > 3 * np.max(mesh4.lengths)
     assert np.max(g[far]) < np.min(np.diag(g))
+
+
+def _normwise(a, b) -> float:
+    return float(np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]), st.floats(-2.0, 1.6), st.floats(-1.5, 1.5))
+def test_matches_per_call_reference(density, log_abs_q, arg_q):
+    # differential check against the per-call quadrature the cached
+    # geometry replaced: same rules, kernels summed in another order
+    mesh = bem.benchmark_rectangle_mesh(density)
+    q = 10.0 ** log_abs_q * np.exp(1j * arg_q)
+    system = bem.assemble(mesh, q)
+    ref = reference_bem.assemble(mesh, q)
+    assert _normwise(system.g, ref.g) < 1e-13
+    assert _normwise(system.h, ref.h) < 1e-13
+    solution = bem.solve_boundary(system, mesh, 1.0)
+    phi, grad, flags = bem.eval_interior(solution, mesh, (0.6, 0.9))
+    ref_phi, ref_grad, ref_flags = reference_bem.eval_interior(solution, mesh, (0.6, 0.9))
+    assert _normwise(phi, ref_phi) < 1e-13
+    assert _normwise(grad, ref_grad) < 1e-13
+    assert flags == ref_flags
+
+
+def test_nonfinite_near_field_kernel_raises(monkeypatch):
+    # NaN only at the distance from a midpoint to the nearest node of the
+    # composite rule on its collinear neighbour, which no far-rule or
+    # self-integral node shares
+    mesh = bem.benchmark_rectangle_mesh(2)
+    length = float(mesh.lengths[0])
+    u = np.polynomial.legendre.leggauss(bem.GAUSS_ORDER)[0]
+    nearest = 1.0 / bem.NEAR_FIELD_SPLIT - 1.0 + u[0] / bem.NEAR_FIELD_SPLIT
+    d = length * (1.0 + 0.5 * nearest)
+    q = 1.5 + 0.5j
+
+    def k01_nan(z):
+        k0, k1 = specfun.k01_values(z)
+        k0[np.abs(np.abs(z) / abs(q) - d) < 1e-9 * d] = np.nan
+        return k0, k1
+
+    monkeypatch.setattr(bem, "k01_values", k01_nan)
+    with pytest.raises(FloatingPointError):
+        bem.assemble(mesh, q)
 
 
 def test_conjugate_symmetry_of_matrices(mesh4):

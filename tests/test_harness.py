@@ -1,11 +1,12 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from invlap import cli, harness, oracles
-from invlap.core import make_time_grid
+from invlap import bem, cli, harness, oracles
+from invlap.core import SamplingStrategy, evaluate_image, make_time_grid, plan_samples
 
 TINY = dict(n_times=5, n_per_unit=2, terms=5, fd_nx=60, fd_dt=2e-3)
 
@@ -47,6 +48,26 @@ def test_bem_image_counts_solves(mesh2):
     transfer = harness.BemImage(mesh2, (1.0, 1.0), oracles.HEAVISIDE)
     assert np.allclose(transfer(3.0), transfer(3.0))
     assert transfer.calls == 2
+
+
+def test_cold_cache_threaded_evaluation_bit_identical():
+    # every run starts on a freshly built mesh, so the evaluation threads
+    # build its cached quadrature geometry concurrently
+    grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
+    plan = plan_samples("talbot", grid, 12, SamplingStrategy.SHARED_GLOBAL)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = {}
+        for workers in (1, 2, 4):
+            image = harness.BemImage(bem.benchmark_rectangle_mesh(2), (0.6, 0.9),
+                                     oracles.HEAVISIDE)
+            runs[workers] = evaluate_image(plan, image, workers=workers).values
+            assert image.calls == plan.total_evaluations
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(runs[2], runs[1])
+    assert np.array_equal(runs[4], runs[1])
 
 
 def test_experiment_accounting_and_flags(tiny_a):
