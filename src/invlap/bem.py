@@ -16,8 +16,7 @@ Conventions
 from __future__ import annotations
 
 import functools
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,9 +49,8 @@ class BoundaryMesh:
     spatial boundary value carried by that condition.
 
     The quadrature geometry of :func:`assemble` and :func:`eval_interior`
-    is built from these arrays on first use and kept on the mesh, so they
-    must not change afterwards; :func:`discretize_rectangle` makes them
-    read-only.
+    is built from these arrays on first use and kept on the mesh, so the
+    mesh holds read-only copies of them.
     """
 
     starts: np.ndarray
@@ -63,6 +61,19 @@ class BoundaryMesh:
     lengths: np.ndarray
     bc_kind: tuple
     bc_value: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value.flags.writeable = False
+                object.__setattr__(self, f.name, value)
+
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy is read-only too and
+        # starts without the cached geometry
+        return BoundaryMesh, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_elements(self) -> int:
@@ -88,8 +99,11 @@ class BoundaryMesh:
         return _boundary_quadrature(self)
 
     @functools.cached_property
-    def _interior_quadratures(self) -> "_InteriorCache":
-        return _InteriorCache()
+    def _interior_quadratures(self) -> dict:
+        # one entry: every caller evaluates at one fixed point per mesh,
+        # and a field plot over many points would otherwise fill memory.
+        # Threads race only to build the same entry twice.
+        return {}
 
 
 _SIDE_ORDER = ("bottom", "right", "top", "left")
@@ -139,12 +153,9 @@ def discretize_rectangle(width: float, height: float, n_per_unit: int,
     tangents = seg / lengths[:, None]
     normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
     midpoints = 0.5 * (starts + ends)
-    bc_value = np.array(values)
-    for arr in (starts, ends, midpoints, normals, tangents, lengths, bc_value):
-        arr.flags.writeable = False
     mesh = BoundaryMesh(starts=starts, ends=ends, midpoints=midpoints,
                         normals=normals, tangents=tangents, lengths=lengths,
-                        bc_kind=tuple(kinds), bc_value=bc_value)
+                        bc_kind=tuple(kinds), bc_value=np.array(values))
     mesh.validate()
     return mesh
 
@@ -376,33 +387,6 @@ def _interior_quadrature(mesh: BoundaryMesh, pt: np.ndarray) -> _InteriorQuadrat
         weight=0.5 * mesh.lengths[:, None] * w[None, :], flags=tuple(flags))
 
 
-#: Evaluation points whose quadrature one mesh keeps; a full cache is
-#: emptied before the next point is added.
-INTERIOR_CACHE_SIZE = 64
-
-
-class _InteriorCache:
-    """Interior quadratures of one mesh, keyed by evaluation point."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._items = {}
-
-    def __reduce__(self):
-        # a lock cannot be pickled; a copied mesh starts with an empty cache
-        return _InteriorCache, ()
-
-    def get(self, mesh: BoundaryMesh, pt: np.ndarray) -> _InteriorQuadrature:
-        key = tuple(pt.tolist())
-        with self._lock:
-            quad = self._items.get(key)
-            if quad is None:
-                if len(self._items) >= INTERIOR_CACHE_SIZE:
-                    self._items.clear()
-                quad = self._items[key] = _interior_quadrature(mesh, pt)
-        return quad
-
-
 def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     """Potential and gradient at an interior point from the boundary data.
 
@@ -410,9 +394,16 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     the gradient differentiates both kernels analytically (K1 terms).
     Returns (phi, grad, flags); points outside or within half an element
     length of the boundary are flagged rather than rejected.  The
-    quadrature geometry and flags are built once per (mesh, point).
+    quadrature geometry and flags of the last point are kept on the mesh.
     """
-    quad = mesh._interior_quadratures.get(mesh, np.asarray(point, dtype=float))
+    pt = np.asarray(point, dtype=float)
+    key = pt.tobytes()
+    cached = mesh._interior_quadratures
+    quad = cached.get(key)
+    if quad is None:
+        quad = _interior_quadrature(mesh, pt)
+        cached.clear()
+        cached[key] = quad
     q = solution.q
     k0, k1 = k01_values(q * quad.r)
     k0 = k0[quad.index]

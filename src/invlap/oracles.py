@@ -251,9 +251,14 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     h = BENCH_LENGTH / nx
     x = np.linspace(0.0, BENCH_LENGTH, nx + 1)
     mu = alpha * dt / (h * h)
+    # LAPACK's tridiagonal routines pass NaN and inf through unchecked
+    if not math.isfinite(mu):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
 
     def bc(tv: float):
         f = float(behavior.time_function(tv))
+        if not math.isfinite(f):
+            raise ValueError(f"boundary value of {behavior.name!r} is not finite at t = {tv!r}")
         return -BENCH_AMPLITUDE * f, BENCH_AMPLITUDE * f
 
     # Crank-Nicolson and the backward-Euler half-step share the same

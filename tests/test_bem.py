@@ -72,13 +72,27 @@ def test_used_mesh_pickles():
     phi_copy, grad_copy, _ = _solve_interior(copy, 2.0 + 1.0j)
     assert phi_copy == phi
     assert np.array_equal(grad_copy, grad)
+    _assert_arrays_read_only(copy)
+
+
+_MESH_ARRAYS = ("starts", "ends", "midpoints", "normals", "tangents", "lengths",
+                "bc_value")
+
+
+def _assert_arrays_read_only(mesh):
+    for name in _MESH_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(mesh, name)[0] = 1.0
 
 
 def test_mesh_arrays_read_only(mesh2):
-    for name in ("starts", "ends", "midpoints", "normals", "tangents", "lengths",
-                 "bc_value"):
-        with pytest.raises(ValueError):
-            getattr(mesh2, name)[0] = 1.0
+    _assert_arrays_read_only(mesh2)
+    # a mesh built from writeable arrays keeps read-only copies of them
+    arrays = {name: np.array(getattr(mesh2, name)) for name in _MESH_ARRAYS}
+    mesh = bem.BoundaryMesh(bc_kind=mesh2.bc_kind, **arrays)
+    _assert_arrays_read_only(mesh)
+    arrays["lengths"][0] = 1.0
+    assert mesh.lengths[0] == mesh2.lengths[0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +131,13 @@ def test_matches_per_call_reference(density, log_abs_q, arg_q):
     assert _normwise(system.g, ref.g) < 1e-13
     assert _normwise(system.h, ref.h) < 1e-13
     solution = bem.solve_boundary(system, mesh, 1.0)
-    phi, grad, flags = bem.eval_interior(solution, mesh, (0.6, 0.9))
-    ref_phi, ref_grad, ref_flags = reference_bem.eval_interior(solution, mesh, (0.6, 0.9))
-    assert _normwise(phi, ref_phi) < 1e-13
-    assert _normwise(grad, ref_grad) < 1e-13
-    assert flags == ref_flags
+    # (1/3, 1) repeats distances, (0.6, 0.9) does not
+    for point in ((0.6, 0.9), (1.0 / 3.0, 1.0)):
+        phi, grad, flags = bem.eval_interior(solution, mesh, point)
+        ref_phi, ref_grad, ref_flags = reference_bem.eval_interior(solution, mesh, point)
+        assert _normwise(phi, ref_phi) < 1e-13
+        assert _normwise(grad, ref_grad) < 1e-13
+        assert flags == ref_flags
 
 
 def test_nonfinite_near_field_kernel_raises(monkeypatch):

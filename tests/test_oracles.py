@@ -177,6 +177,17 @@ def test_fd_argument_validation():
         crank_nicolson_1d(1.0, np.array([0.005]), HEAVISIDE, dt=1e-2)
 
 
+def test_fd_rejects_non_finite_data():
+    # a NaN after the start reaches the march only past its first steps
+    late_nan = oracles.TimeBehavior(
+        "late-nan", HEAVISIDE.image,
+        lambda t: np.where(np.asarray(t) > 0.01, np.nan, 1.0))
+    with pytest.raises(ValueError, match="not finite"):
+        crank_nicolson_1d(1.0, np.array([0.05]), late_nan, nx=32)
+    with pytest.raises(ValueError, match="alpha"):
+        crank_nicolson_1d(1.0, np.array([0.05]), HEAVISIDE, nx=32, alpha=np.inf)
+
+
 def test_behavior_registry():
     assert set(BEHAVIORS) == {"heaviside", "cosine4t", "delayed-step"}
     assert BEHAVIORS["delayed-step"].tau == pytest.approx(0.08)
