@@ -40,7 +40,7 @@ class SingularSystemError(RuntimeError):
     """Dense boundary system could not be solved."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMesh:
     """Closed counterclockwise perimeter of straight constant elements.
 
@@ -50,7 +50,8 @@ class BoundaryMesh:
 
     The quadrature geometry of :func:`assemble` and :func:`eval_interior`
     is built from these arrays on first use and kept on the mesh, so the
-    mesh holds read-only copies of them.
+    mesh holds read-only copies of them.  Equality and hashing go by
+    identity, so a mesh can key a dict.
     """
 
     starts: np.ndarray

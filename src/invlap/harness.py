@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bem, oracles
-from .core import (FLAG_UNDEFINED_BEFORE_DELAY, CountingImage, SamplingStrategy,
-                   TimeGrid, evaluate_image, invert_all, make_time_grid,
-                   plan_samples)
+from .core import (FLAG_UNDEFINED_BEFORE_DELAY, METHODS, CountingImage,
+                   SamplingStrategy, TimeGrid, evaluate_image, invert_all,
+                   make_time_grid, plan_samples)
 
-ALL_METHODS = ("stehfest", "schapery", "weeks", "talbot", "dehoog")
+ALL_METHODS = METHODS
 SHARED_METHODS = ("schapery", "weeks", "talbot", "dehoog")
 
 #: experiment id -> (behavior, strategy, default methods, default terms)

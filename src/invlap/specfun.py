@@ -1,19 +1,17 @@
-"""Complex-argument modified Bessel functions K0, K1 and stable Laguerre sums.
+"""Complex-argument modified Bessel functions K0, K1 and Laguerre sums.
 
 K0 and K1 are the free-space kernel of the 2D modified Helmholtz operator
 and must be evaluated for complex wavenumbers anywhere in the right
-half-plane.  Three regimes are used: the ascending series for small
-moduli, a Steed-type continued fraction (Thompson-Barnett CF2) for the
-middle range, and the large-argument asymptotic expansion with
-term-magnitude monitoring beyond that.  The crossovers are chosen so that
-double precision keeps ~1e-13 relative accuracy everywhere in the right
-half-plane: the ascending series loses digits to cancellation once Re(z)
-grows, while the asymptotic sum bottoms out near exp(-2|z|).
+half-plane.  They come from ``scipy.special.kv``, the AMOS routines
+(Amos 1986, ACM TOMS 12:265, Algorithm 644), which reach a few times
+1e-15 relative accuracy in the right half-plane for 1e-6 <= |z| <= 600.
 
-Arguments with Re(z) < 0 are supported through the analytic continuation
-K_nu(z e^{i pi}) = e^{-i nu pi} K_nu(z) - i pi I_nu(z); there the values
-grow like exp(|Re z|) and are returned with an overflow flag once they
-leave the representable range.
+Arguments with Re(z) < 0 take the principal branch, with the cut on the
+negative real axis and -x + 0j on its upper side.  There the values grow
+like exp(|Re z|) and :func:`bessel_k01` flags them once they leave the
+representable range.
+
+Laguerre series are summed by ``numpy.polynomial.laguerre.lagval``.
 """
 
 from __future__ import annotations
@@ -21,19 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.laguerre import lagval
+from scipy.special import kv
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# Regime boundaries (moduli of z).
-SERIES_MAX_ABS = 4.0
-ASYMPTOTIC_MIN_ABS = 16.0
-
 # Magnitude beyond which results are flagged as overflowed.
 OVERFLOW_MAGNITUDE = 1e300
-
-_CF2_MAX_ITER = 100000
-_SERIES_MAX_TERMS = 60
-_ASYM_MAX_TERMS = 44
 
 
 class SingularBesselArgument(ValueError):
@@ -49,253 +41,19 @@ class BesselPair:
     overflow: bool = False
 
 
-def _k01_series(z):
-    """Ascending series for K0, K1; accurate for small |z| or small Re(z)."""
-    z = np.asarray(z, dtype=complex)
-    w = 0.25 * z * z
-    lg = np.log(0.5 * z) + EULER_GAMMA
-
-    i0 = np.ones_like(z)
-    i1s = np.ones_like(z)          # I1(z) / (z/2)
-    s0 = np.zeros_like(z)          # sum H_k w^k / (k!)^2
-    s1 = np.full_like(z, 1.0)      # sum (H_k + H_{k+1}) w^k / (k! (k+1)!)
-    term0 = np.ones_like(z)
-    term1 = np.ones_like(z)
-    hk = 0.0
-    # 27 terms reach 1e-20 relative at the |z| = 4 regime boundary; smaller
-    # arguments converge sooner and the extra dense terms cost nothing
-    for k in range(1, 28):
-        term0 = term0 * w / (k * k)
-        term1 = term1 * w / (k * (k + 1))
-        hk += 1.0 / k
-        i0 = i0 + term0
-        i1s = i1s + term1
-        s0 = s0 + term0 * hk
-        s1 = s1 + term1 * (2.0 * hk + 1.0 / (k + 1))
-    k0 = -lg * i0 + s0
-    # K1 = 1/z + log(z/2) I1 - (z/4) sum [psi(k+1)+psi(k+2)] w^k/(k!(k+1)!)
-    # with psi(k+1) = -gamma + H_k folded into lg and s1.
-    i1 = 0.5 * z * i1s
-    k1 = 1.0 / z + (lg - EULER_GAMMA) * i1 - 0.25 * z * (s1 - 2.0 * EULER_GAMMA * i1s)
-    return k0, k1
-
-
-def _k01_cf2(z):
-    """Thompson-Barnett CF2 evaluation of K0, K1 for moderate |z|, Re(z) >= 0.
-
-    The working set is physically compacted as elements converge, which
-    keeps the per-iteration cost proportional to the remaining work.
-    """
-    z_full = np.asarray(z, dtype=complex).ravel()
-    n = z_full.size
-    h_out = np.empty(n, dtype=complex)
-    s_out = np.empty(n, dtype=complex)
-
-    idx = np.arange(n)
-    zz = z_full.copy()
-    b = 2.0 * (1.0 + zz)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros(n, dtype=complex)
-    q2 = np.ones(n, dtype=complex)
-    a1 = 0.25
-    q = np.full(n, a1, dtype=complex)
-    c = np.full(n, a1, dtype=complex)
-    a = np.full(n, -a1, dtype=complex)
-    s = 1.0 + q * delh
-
-    scratch = np.empty(n, dtype=complex)
-    for i in range(2, _CF2_MAX_ITER):
-        m = idx.size
-        t = scratch[:m]
-        a -= 2.0 * (i - 1)
-        np.multiply(a, c, out=c)
-        c /= -i
-        np.multiply(b, q2, out=t)
-        np.subtract(q1, t, out=t)
-        t /= a
-        q1, q2 = q2, q1
-        q2[...] = t
-        np.multiply(c, t, out=t)
-        q += t
-        b += 2.0
-        np.multiply(a, d, out=t)
-        t += b
-        np.divide(1.0, t, out=d)
-        np.multiply(b, d, out=t)
-        t -= 1.0
-        np.multiply(t, delh, out=delh)
-        h += delh
-        np.multiply(q, delh, out=t)
-        s += t
-        if i % 2:  # test convergence every other pass; abs2 avoids hypot
-            dn = t.real * t.real + t.imag * t.imag
-            sn = s.real * s.real + s.imag * s.imag
-            done = dn <= 1e-32 * sn
-            if done.any():
-                h_out[idx[done]] = h[done]
-                s_out[idx[done]] = s[done]
-                keep = ~done
-                idx = idx[keep]
-                if idx.size == 0:
-                    break
-                zz, b, d, h, delh = zz[keep], b[keep], d[keep], h[keep], delh[keep]
-                q1, q2, q, c, a, s = (q1[keep], q2[keep], q[keep],
-                                      c[keep], a[keep], s[keep])
-    if idx.size:  # hit the iteration cap; use the best available partial sums
-        h_out[idx] = h
-        s_out[idx] = s
-
-    h_out = a1 * h_out
-    k0 = np.sqrt(np.pi / (2.0 * z_full)) * np.exp(-z_full) / s_out
-    k1 = k0 * (z_full + 0.5 - h_out) / z_full
-    return k0, k1
-
-
-def _abs2(v):
-    return v.real * v.real + v.imag * v.imag
-
-
-def _k01_asymptotic(z):
-    """Large-|z| expansion; terms are added while they still shrink.
-
-    The series is divergent, so each element stops at its smallest term
-    (superasymptotic truncation, ~exp(-2|z|) relative error).
-    """
-    z = np.asarray(z, dtype=complex)
-    pref = np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
-    invz = 1.0 / z
-    s0 = np.ones_like(z)
-    s1 = np.ones_like(z)
-    t0 = np.ones_like(z)
-    t1 = np.ones_like(z)
-    live0 = np.ones(z.shape, dtype=bool)
-    live1 = np.ones(z.shape, dtype=bool)
-    for k in range(1, _ASYM_MAX_TERMS):
-        m = 2 * k - 1
-        new0 = t0 * ((-(m * m)) / (8.0 * k)) * invz
-        new1 = t1 * ((4.0 - m * m) / (8.0 * k)) * invz
-        live0 &= _abs2(new0) < _abs2(t0)
-        live1 &= _abs2(new1) < _abs2(t1)
-        s0 += new0 * live0
-        s1 += new1 * live1
-        t0 = np.where(live0, new0, t0)
-        t1 = np.where(live1, new1, t1)
-        live0 &= _abs2(t0) > 1e-36 * _abs2(s0)
-        live1 &= _abs2(t1) > 1e-36 * _abs2(s1)
-        if not (live0.any() or live1.any()):
-            break
-    return pref * s0, pref * s1
-
-
-def _i01(z):
-    """I0(z), I1(z) for Re(z) >= 0 (series for small |z|, expansion beyond)."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) <= 20.0
-    i0 = np.empty_like(z)
-    i1 = np.empty_like(z)
-    if small.any():
-        zs = z[small]
-        w = 0.25 * zs * zs
-        a0 = np.ones_like(zs)
-        a1 = np.ones_like(zs)
-        term0 = np.ones_like(zs)
-        term1 = np.ones_like(zs)
-        for k in range(1, _SERIES_MAX_TERMS):
-            term0 = term0 * w / (k * k)
-            term1 = term1 * w / (k * (k + 1))
-            a0 = a0 + term0
-            a1 = a1 + term1
-            if np.all(np.abs(term0) <= 1e-18 * np.abs(a0)):
-                break
-        i0[small] = a0
-        i1[small] = 0.5 * zs * a1
-    if (~small).any():
-        zl = z[~small]
-        with np.errstate(over="ignore"):
-            pref = np.exp(zl) / np.sqrt(2.0 * np.pi * zl)
-        s0 = np.ones_like(zl)
-        s1 = np.ones_like(zl)
-        t0 = np.ones_like(zl)
-        t1 = np.ones_like(zl)
-        live0 = np.ones(zl.shape, dtype=bool)
-        live1 = np.ones(zl.shape, dtype=bool)
-        for k in range(1, _ASYM_MAX_TERMS):
-            m = 2 * k - 1
-            new0 = -t0 * (-(m * m)) / (8.0 * k * zl)
-            new1 = -t1 * (4.0 - m * m) / (8.0 * k * zl)
-            grew0 = np.abs(new0) >= np.abs(t0)
-            grew1 = np.abs(new1) >= np.abs(t1)
-            live0 &= ~grew0
-            live1 &= ~grew1
-            s0 = np.where(live0, s0 + new0, s0)
-            s1 = np.where(live1, s1 + new1, s1)
-            t0 = np.where(live0, new0, t0)
-            t1 = np.where(live1, new1, t1)
-            if not (live0.any() or live1.any()):
-                break
-        i0[~small] = pref * s0
-        i1[~small] = pref * s1
-    return i0, i1
-
-
-def _k01_right_half(z):
-    """Dispatch over the three right-half-plane regimes."""
-    z = np.asarray(z, dtype=complex)
-    k0 = np.empty_like(z)
-    k1 = np.empty_like(z)
-    az = np.abs(z)
-    m_series = az <= SERIES_MAX_ABS
-    m_asym = az >= ASYMPTOTIC_MIN_ABS
-    m_cf2 = ~(m_series | m_asym)
-    if m_series.any():
-        a, b = _k01_series(z[m_series])
-        k0[m_series] = a
-        k1[m_series] = b
-    if m_cf2.any():
-        a, b = _k01_cf2(z[m_cf2])
-        k0[m_cf2] = a.reshape(z[m_cf2].shape)
-        k1[m_cf2] = b.reshape(z[m_cf2].shape)
-    if m_asym.any():
-        a, b = _k01_asymptotic(z[m_asym])
-        k0[m_asym] = a
-        k1[m_asym] = b
-    return k0, k1
-
-
 def k01_values(z):
     """K0(z) and K1(z), elementwise over an array of complex arguments.
 
-    Accuracy is guaranteed (<= ~1e-12 relative) for Re(z) >= 0 with
-    1e-6 <= |z| <= 600.  Re(z) < 0 is evaluated by analytic continuation
-    and may overflow; callers needing flags should use :func:`bessel_k01`.
+    Accuracy is a few times 1e-15 relative for Re(z) >= 0 with
+    1e-6 <= |z| <= 600.  Re(z) < 0 takes the principal branch and may
+    overflow to inf or NaN; callers needing flags should use
+    :func:`bessel_k01`.
     """
     z = np.asarray(z, dtype=complex)
+    # kv returns NaN at 0 rather than raising
     if np.any(z == 0):
         raise SingularBesselArgument("K0/K1 are singular at z = 0")
-    k0 = np.empty_like(z)
-    k1 = np.empty_like(z)
-    right = z.real >= 0.0
-    if right.any():
-        a, b = _k01_right_half(z[right])
-        k0[right] = a
-        k1[right] = b
-    if (~right).any():
-        zl = z[~right]
-        # reflect lower-half arguments so the continuation formula applies,
-        # then conjugate back
-        upper = zl.imag >= 0.0
-        zu = np.where(upper, zl, np.conj(zl))
-        w = -zu
-        kw0, kw1 = _k01_right_half(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            iw0, iw1 = _i01(w)
-            c0 = kw0 - 1j * np.pi * iw0
-            c1 = -kw1 - 1j * np.pi * iw1
-        k0[~right] = np.where(upper, c0, np.conj(c0))
-        k1[~right] = np.where(upper, c1, np.conj(c1))
-    return k0, k1
+    return kv(0, z), kv(1, z)
 
 
 def bessel_k01(z: complex) -> BesselPair:
@@ -317,7 +75,7 @@ def bessel_k01(z: complex) -> BesselPair:
 
 
 def laguerre_sum(a, x):
-    """Evaluate sum_n a_n L_n(x) by the backward Clenshaw recurrence.
+    """Evaluate sum_n a_n L_n(x) with ``numpy.polynomial.laguerre.lagval``.
 
     Parameters
     ----------
@@ -327,19 +85,14 @@ def laguerre_sum(a, x):
     x : float
         Argument, x >= 0.
 
-    The Laguerre three-term relation (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}
-    is run backwards, which keeps the sum stable for high orders where the
-    forward recurrence would amplify rounding.
+    ``lagval`` runs the Laguerre three-term relation backwards (Clenshaw),
+    which keeps the sum stable for high orders where the forward
+    recurrence would amplify rounding.
     """
     if x < 0:
         raise ValueError("laguerre_sum requires x >= 0")
     a = np.asarray(a, dtype=float)
-    n = a.shape[0] - 1
-    shape = a.shape[1:]
-    b1 = np.zeros(shape)
-    b2 = np.zeros(shape)
-    for k in range(n, -1, -1):
-        b1, b2 = a[k] + ((2.0 * k + 1.0 - x) / (k + 1.0)) * b1 - ((k + 1.0) / (k + 2.0)) * b2, b1
-    if shape == ():
-        return float(b1)
-    return b1
+    total = lagval(x, a)
+    if a.ndim == 1:
+        return float(total)
+    return total

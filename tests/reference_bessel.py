@@ -1,9 +1,10 @@
 """Extended-precision ascending-series evaluator for K0/K1.
 
-Test-suite-only oracle: the same series identities as the production code
-but in mpmath arbitrary precision with no regime switching, so it shares
-no code path with the implementation under test.  Cross-checked against
-mpmath.besselk (an independent published implementation) in the tests.
+Test-suite-only oracle: the ascending series for K0 and K1 in mpmath
+arbitrary precision with no regime switching, so it shares no code path
+with the implementation under test (scipy.special.kv).  Cross-checked
+against mpmath.besselk (an independent published implementation) in the
+tests.
 """
 
 import mpmath as mp

@@ -95,6 +95,14 @@ def test_mesh_arrays_read_only(mesh2):
     assert mesh.lengths[0] == mesh2.lengths[0]
 
 
+def test_mesh_hashes_and_compares_by_identity():
+    mesh = bem.benchmark_rectangle_mesh(2)
+    other = bem.benchmark_rectangle_mesh(2)
+    assert {mesh: 1}[mesh] == 1
+    assert mesh == mesh
+    assert mesh != other
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------

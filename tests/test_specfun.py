@@ -103,6 +103,15 @@ def test_left_half_plane_continuation():
         assert abs(pair.k1 - r1) <= 1e-10 * abs(r1)
 
 
+def test_negative_real_axis_takes_upper_side_of_cut():
+    # both signed zeros land on the principal value, the upper side
+    k0, k1 = k01_values([-3 + 0j, complex(-3, -0.0)])
+    r0 = complex(mp.besselk(0, mp.mpc(-3, 0)))
+    r1 = complex(mp.besselk(1, mp.mpc(-3, 0)))
+    assert np.all(np.abs(k0 - r0) <= 1e-12 * abs(r0))
+    assert np.all(np.abs(k1 - r1) <= 1e-12 * abs(r1))
+
+
 def test_left_half_plane_overflow_flagged():
     pair = bessel_k01(-800.0 + 1.0j)
     assert pair.overflow
