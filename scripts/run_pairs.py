@@ -8,16 +8,14 @@ import sys
 from pathlib import Path
 
 from invlap import harness, oracles
-from invlap.core import make_time_grid
+from invlap.core import METHODS, make_time_grid
 
 
 def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
     out.mkdir(parents=True, exist_ok=True)
     grid = make_time_grid(0.1, 1.0, 15)
-    rows = harness.run_pairs_benchmark(
-        ("stehfest", "schapery", "weeks", "talbot", "dehoog"),
-        oracles.pair_catalog(), 41, grid)
+    rows = harness.run_pairs_benchmark(METHODS, oracles.pair_catalog(), 41, grid)
     with open(out / "pairs.csv", "w") as fh:
         harness.write_pairs_csv(rows, fh)
     width = max(len(r["pair"]) for r in rows)

@@ -11,8 +11,8 @@ output times.
 
 from __future__ import annotations
 
-import math
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -20,8 +20,6 @@ from enum import Enum
 import numpy as np
 
 from . import algorithms as alg
-
-METHODS = ("stehfest", "schapery", "weeks", "talbot", "dehoog")
 
 #: Relative tolerance below which two planned p values are considered the
 #: same evaluation.  Chosen below quadrature sensitivity, above rounding.
@@ -71,6 +69,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("time grid must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("all times must be finite")
         if np.any(t <= 0):
             raise ValueError("all times must be positive")
         if np.any(np.diff(t) <= 0):
@@ -98,6 +98,8 @@ def make_time_grid(t_min: float, t_max: float, n: int, spacing: str = "logarithm
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not np.isfinite([t_min, t_max]).all():
+        raise ValueError("t_min and t_max must be finite")
     if t_min <= 0:
         raise ValueError("t_min must resolve to a positive time")
     if t_max < t_min:
@@ -134,7 +136,6 @@ class SamplePlan:
     grid: TimeGrid
     p: np.ndarray
     groups: tuple
-    time_group: tuple
     raw_evaluations: int
 
     @property
@@ -166,32 +167,68 @@ class TimeSeriesResult:
     plan: SamplePlan
 
 
-def _method_nodes(method: str, params) -> np.ndarray:
-    if method == "stehfest":
-        raise AssertionError("stehfest nodes are generated per time")
-    if method == "schapery":
-        return np.asarray(params.nodes, dtype=complex)
-    if method == "weeks":
-        return alg.weeks_nodes(params)
-    if method == "talbot":
-        return alg.talbot_contour(params.r, params.n_nodes)
-    if method == "dehoog":
-        return alg.dehoog_nodes(params)
-    raise ValueError(f"unknown method {method!r}")
+@dataclass(frozen=True)
+class _Method:
+    """Everything the planner and `invert_all` know about one inverter.
+
+    rule_of_thumb(terms, t_lo, t_hi, sigma) gives the free parameters for
+    a group of times spanning [t_lo, t_hi]; nodes(params, t_hi) gives the
+    group's Laplace parameters; prepare(samples, params) returns the
+    group's inversion t -> (value, flags).  per_time marks a method whose
+    nodes depend explicitly on t, so it can only plan per time.
+    """
+
+    rule_of_thumb: Callable
+    nodes: Callable
+    prepare: Callable
+    per_time: bool = False
 
 
-def _rule_of_thumb(method: str, terms: int, t_min: float, t_max: float, sigma: float):
-    if method == "stehfest":
-        return alg.StehfestParams.rule_of_thumb(terms)
-    if method == "schapery":
-        return alg.SchaperyParams.geometric(terms, t_min, t_max)
-    if method == "weeks":
-        return alg.WeeksParams.rule_of_thumb(terms, t_max, sigma)
-    if method == "talbot":
-        return alg.TalbotParams.rule_of_thumb(terms, t_max)
-    if method == "dehoog":
-        return alg.DeHoogParams.rule_of_thumb(terms, t_max, sigma)
-    raise ValueError(f"unknown method {method!r}")
+def _prepare_schapery(samples, params):
+    fit = alg.schapery_fit(samples, params)
+    return lambda t: (alg.schapery_eval(fit, t), ())
+
+
+def _prepare_weeks(samples, params):
+    coeffs = alg.weeks_coefficients(samples, params)
+    return lambda t: alg.weeks_eval(coeffs, params, t)
+
+
+#: The one place that knows each method; a new inverter is one entry.
+_METHODS = {
+    "stehfest": _Method(
+        rule_of_thumb=lambda terms, lo, hi, sigma: alg.StehfestParams.rule_of_thumb(terms),
+        nodes=lambda params, t: alg.stehfest_nodes(t, params).astype(complex),
+        prepare=lambda v, params: lambda t: (alg.stehfest_invert(v, t, params), ()),
+        per_time=True),
+    "schapery": _Method(
+        rule_of_thumb=lambda terms, lo, hi, sigma: alg.SchaperyParams.geometric(terms, lo, hi),
+        nodes=lambda params, t: np.asarray(params.nodes, dtype=complex),
+        prepare=_prepare_schapery),
+    "weeks": _Method(
+        rule_of_thumb=lambda terms, lo, hi, sigma: alg.WeeksParams.rule_of_thumb(terms, hi, sigma),
+        nodes=lambda params, t: alg.weeks_nodes(params),
+        prepare=_prepare_weeks),
+    "talbot": _Method(
+        rule_of_thumb=lambda terms, lo, hi, sigma: alg.TalbotParams.rule_of_thumb(terms, hi),
+        nodes=lambda params, t: alg.talbot_contour(params.r, params.n_nodes),
+        prepare=lambda v, params: lambda t: alg.talbot_invert(v, t, params)),
+    "dehoog": _Method(
+        rule_of_thumb=lambda terms, lo, hi, sigma: alg.DeHoogParams.rule_of_thumb(terms, hi, sigma),
+        nodes=lambda params, t: alg.dehoog_nodes(params),
+        prepare=lambda v, params: alg.DeHoogTable(v, params).evaluate),
+}
+
+METHODS = tuple(_METHODS)
+
+#: Methods whose nodes depend on t, so PER_TIME_OPTIMAL is their only strategy.
+PER_TIME_METHODS = tuple(m for m in METHODS if _METHODS[m].per_time)
+
+
+def _prepare_nonfinite(samples, params):
+    """A group with a non-finite sample inverts to a flagged NaN at every t."""
+    nan = np.full(samples.shape[1:], np.nan)
+    return lambda t: (nan, (alg.FLAG_NONFINITE_SAMPLES,))
 
 
 def _dedup(nodes: list) -> tuple:
@@ -229,8 +266,8 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
     vector per cycle.  Identical p values (relative tolerance 1e-12) are
     deduplicated across the whole plan.
 
-    Stehfest's parameters depend explicitly on t, so only
-    PER_TIME_OPTIMAL is valid for it.  Odd Stehfest term requests are
+    Methods whose nodes depend explicitly on t (Stehfest's k ln2 / t)
+    accept only PER_TIME_OPTIMAL.  Odd Stehfest term requests are
     rounded up to the next even order and the effective order is recorded
     in the group parameters.
     """
@@ -238,10 +275,11 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if method == "stehfest" and strategy is not SamplingStrategy.PER_TIME_OPTIMAL:
+    spec = _METHODS[method]
+    if spec.per_time and strategy is not SamplingStrategy.PER_TIME_OPTIMAL:
         raise InvalidStrategyError(
-            "Stehfest requires the per-time strategy: its sample points "
-            "k ln2 / t depend explicitly on t")
+            f"{method} requires the per-time strategy: its sample points "
+            "depend explicitly on t")
 
     times = grid.times
     if strategy is SamplingStrategy.PER_TIME_OPTIMAL:
@@ -256,19 +294,12 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
 
     groups = []
     node_lists = []
-    raw = 0
     for part in partitions:
         t_lo = float(times[part[0]])
         t_hi = float(times[part[-1]])
-        if method == "stehfest":
-            g_params = params if params is not None else alg.StehfestParams.rule_of_thumb(terms)
-            g_nodes = alg.stehfest_nodes(t_hi, g_params).astype(complex)
-        else:
-            g_params = params if params is not None else _rule_of_thumb(
-                method, terms, t_lo, t_hi, sigma)
-            g_nodes = _method_nodes(method, g_params)
-        node_lists.append(g_nodes)
-        raw += g_nodes.size
+        g_params = params if params is not None else spec.rule_of_thumb(
+            terms, t_lo, t_hi, sigma)
+        node_lists.append(spec.nodes(g_params, t_hi))
         groups.append((g_params, part, t_hi))
 
     distinct, index_arrays = _dedup(node_lists)
@@ -276,13 +307,9 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
         PlanGroup(params=g[0], node_indices=idx, time_indices=g[1], t_max=g[2])
         for g, idx in zip(groups, index_arrays)
     )
-    time_group = [0] * times.size
-    for gi, grp in enumerate(plan_groups):
-        for ti in grp.time_indices:
-            time_group[ti] = gi
     return SamplePlan(method=method, strategy=strategy, grid=grid, p=distinct,
-                      groups=plan_groups, time_group=tuple(time_group),
-                      raw_evaluations=raw)
+                      groups=plan_groups,
+                      raw_evaluations=sum(nodes.size for nodes in node_lists))
 
 
 def _flag_sample(v) -> str:
@@ -327,25 +354,19 @@ def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> Sa
                      evaluations_measured=len(raw))
 
 
-def _nan_like(values: np.ndarray):
-    shape = values.shape[1:]
-    return np.full(shape, np.nan) if shape else math.nan
-
-
-def invert_all(method: str, samples: SampleSet, grid: TimeGrid, params=None) -> TimeSeriesResult:
+def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesResult:
     """Invert every grid time from a sample set produced for that method.
 
-    Values are pure functions of (samples, parameters, t).  Numerically
-    degenerate times carry diagnostic flags and NaN values instead of
-    raising, so one bad time does not abort a sweep.
+    Each plan group inverts with its own parameters.  Values are pure
+    functions of (samples, parameters, t).  Numerically degenerate times
+    carry diagnostic flags and NaN values instead of raising, so one bad
+    time does not abort a sweep.
     """
     plan = samples.plan
     if plan.method != method:
         raise PlanMismatchError(f"samples were planned for {plan.method!r}, not {method!r}")
     if not np.array_equal(plan.grid.times, grid.times):
         raise PlanMismatchError("samples were planned for a different time grid")
-    if params is not None and len(plan.groups) == 1 and plan.groups[0].params != params:
-        raise PlanMismatchError("explicit params do not match the plan's parameters")
 
     times = grid.times
     n_t = times.size
@@ -355,38 +376,14 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid, params=None) -> 
 
     for group in plan.groups:
         vals = samples.values[group.node_indices]
-        g_params = group.params
-        finite = bool(np.all(np.isfinite(vals)))
-        shared_flags: tuple = ()
-        evaluator = None
-
-        if finite:
-            if method == "dehoog":
-                table = alg.DeHoogTable(vals, g_params)
-                evaluator = table.evaluate
-            elif method == "weeks":
-                coeffs = alg.weeks_coefficients(vals, g_params)
-                evaluator = lambda t, c=coeffs, p=g_params: alg.weeks_eval(c, p, t)
-            elif method == "schapery":
-                fit = alg.schapery_fit(vals, g_params)
-                evaluator = lambda t, f=fit: (alg.schapery_eval(f, t), ())
-            elif method == "talbot":
-                evaluator = lambda t, v=vals, p=g_params: alg.talbot_invert(v, t, p)
-            elif method == "stehfest":
-                evaluator = lambda t, v=vals, p=g_params: (alg.stehfest_invert(v, t, p), ())
-        else:
-            shared_flags = (alg.FLAG_NONFINITE_SAMPLES,)
-
+        prepare = _METHODS[method].prepare if np.all(np.isfinite(vals)) else _prepare_nonfinite
+        evaluate = prepare(vals, group.params)
         for ti in group.time_indices:
-            t = float(times[ti])
-            if finite:
-                value, tflags = evaluator(t)
-            else:
-                value, tflags = _nan_like(samples.values), ()
+            value, tflags = evaluate(float(times[ti]))
             if out_values is None:
                 out_values = np.empty((n_t,) + np.shape(value))
             out_values[ti] = value
-            out_flags[ti] = shared_flags + tuple(tflags)
+            out_flags[ti] = tuple(tflags)
             per_time_eval[ti] = int(group.node_indices.size)
 
     return TimeSeriesResult(method=method, times=times, values=out_values,

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bem, oracles
-from .core import (FLAG_UNDEFINED_BEFORE_DELAY, METHODS, CountingImage,
-                   SamplingStrategy, TimeGrid, evaluate_image, invert_all,
-                   make_time_grid, plan_samples)
+from .core import (FLAG_UNDEFINED_BEFORE_DELAY, METHODS, PER_TIME_METHODS,
+                   CountingImage, SamplingStrategy, TimeGrid, evaluate_image,
+                   invert_all, make_time_grid, plan_samples)
 
 ALL_METHODS = METHODS
-SHARED_METHODS = ("schapery", "weeks", "talbot", "dehoog")
+SHARED_METHODS = tuple(m for m in METHODS if m not in PER_TIME_METHODS)
 
 #: experiment id -> (behavior, strategy, default methods, default terms)
 EXPERIMENT_DEFAULTS = {
@@ -67,10 +67,10 @@ class ExperimentConfig:
         for m in out.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if strategy is not SamplingStrategy.PER_TIME_OPTIMAL and "stehfest" in out.methods:
-            raise ConfigError(
-                "stehfest cannot join shared-sample experiments: its sample "
-                "points depend explicitly on t")
+        per_time = [m for m in out.methods if m in PER_TIME_METHODS]
+        if strategy is not SamplingStrategy.PER_TIME_OPTIMAL and per_time:
+            raise ConfigError(f"{per_time[0]} cannot join shared-sample experiments: "
+                              "its sample points depend explicitly on t")
         if not (0 < self.t_min < self.t_max):
             raise ConfigError("need 0 < t_min < t_max")
         return out
@@ -283,13 +283,13 @@ def write_gnuplot(result: ExperimentResult, directory) -> list:
 def run_pairs_benchmark(methods, pairs, terms: int, grid: TimeGrid) -> list:
     """Per (method, pair) accuracy on closed-form transforms.
 
-    Isolates algorithm error from PDE discretization error.  Stehfest
-    plans per time; the complex-contour methods share one sample vector
+    Isolates algorithm error from PDE discretization error.  Methods whose
+    nodes depend on t plan per time; the others share one sample vector
     across the grid.  Errors are pointwise relative to the true inverse.
     """
     rows = []
     for method in methods:
-        strategy = (SamplingStrategy.PER_TIME_OPTIMAL if method == "stehfest"
+        strategy = (SamplingStrategy.PER_TIME_OPTIMAL if method in PER_TIME_METHODS
                     else SamplingStrategy.SHARED_GLOBAL)
         for pair in pairs:
             image = CountingImage(pair.image)

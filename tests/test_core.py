@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlap import algorithms as alg
-from invlap import core
+from invlap import core, harness
 from invlap.core import (CountingImage, ImageEvaluationError,
                          InvalidStrategyError, PlanMismatchError, SamplePlan,
                          SamplingStrategy, TimeGrid, evaluate_image,
@@ -47,6 +47,14 @@ def test_grid_validation():
         TimeGrid(np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError):
+        TimeGrid(np.array([math.nan]))
+    with pytest.raises(ValueError):
+        TimeGrid(np.array([1.0, math.inf]))
+    with pytest.raises(ValueError):
+        make_time_grid(0.01, math.inf, 4)
+    with pytest.raises(ValueError):
+        make_time_grid(math.nan, 1.0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +138,6 @@ def test_dedup_sound_for_inversion():
         offset += nodes.size
     plan_raw = SamplePlan(method="stehfest", strategy=PTO, grid=grid,
                           p=p_raw, groups=tuple(groups),
-                          time_group=plan.time_group,
                           raw_evaluations=p_raw.size)
 
     image = lambda p: 1.0 / (p + 1.0)
@@ -199,7 +206,7 @@ def test_evaluate_flags_large_and_overflow():
                                              node_indices=np.arange(3),
                                              time_indices=np.array([0]),
                                              t_max=1.0),),
-                      time_group=(0,), raw_evaluations=3)
+                      raw_evaluations=3)
     samples = evaluate_image(plan, image)
     assert abs(samples.values[0]) == pytest.approx(math.exp(16.0) / 200.0, rel=1e-12)
     assert samples.sample_flags[0] == "large"
@@ -232,6 +239,51 @@ def test_method_plan_mismatch():
     other = make_time_grid(0.2, 2.0, 3)
     with pytest.raises(PlanMismatchError):
         invert_all("talbot", samples, other)
+
+
+def _direct_inversion(method, samples, params):
+    """The inverter of `invlap.algorithms`, called without core's table."""
+    if method == "stehfest":
+        return lambda t: (alg.stehfest_invert(samples, t, params), ())
+    if method == "schapery":
+        fit = alg.schapery_fit(samples, params)
+        return lambda t: (alg.schapery_eval(fit, t), ())
+    if method == "weeks":
+        coeffs = alg.weeks_coefficients(samples, params)
+        return lambda t: alg.weeks_eval(coeffs, params, t)
+    if method == "talbot":
+        return lambda t: alg.talbot_invert(samples, t, params)
+    assert method == "dehoog"
+    return alg.DeHoogTable(samples, params).evaluate
+
+
+@pytest.mark.parametrize("method", core.METHODS)
+def test_dispatch_matches_algorithms(method):
+    # invert_all through the method table equals, bit for bit, each
+    # group's samples and params fed straight to invlap.algorithms
+    assert harness.SHARED_METHODS == ("schapery", "weeks", "talbot", "dehoog")
+    strategies = tuple(SamplingStrategy) if method in harness.SHARED_METHODS else (PTO,)
+    for strategy in set(SamplingStrategy) - set(strategies):
+        with pytest.raises(InvalidStrategyError):
+            plan_samples(method, make_time_grid(0.1, 1.0, 3), 8, strategy)
+    image = lambda p: np.array([1.0 / (p + 1.0), 1.0 / (p * p + 1.0)])
+    grids = (make_time_grid(0.02, 20.0, 7, "logarithmic"),
+             make_time_grid(0.25, 3.0, 7, "linear"))
+    for grid in grids:
+        for strategy in strategies:
+            plan = plan_samples(method, grid, 12, strategy, sigma=0.25)
+            samples = evaluate_image(plan, image)
+            result = invert_all(method, samples, grid)
+            covered = np.zeros(len(grid), dtype=bool)
+            for group in plan.groups:
+                invert = _direct_inversion(
+                    method, samples.values[group.node_indices], group.params)
+                for ti in group.time_indices:
+                    value, flags = invert(float(grid.times[ti]))
+                    assert np.array_equal(result.values[ti], value), (strategy, ti)
+                    assert result.flags[ti] == tuple(flags), (strategy, ti)
+                    covered[ti] = True
+            assert covered.all()
 
 
 def test_invert_one_over_p_everywhere():

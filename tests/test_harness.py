@@ -190,3 +190,12 @@ def test_cli_error_paths(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
     assert cli.main(["--config", str(bad)]) == 2
+
+
+def test_cli_rejects_non_finite_times(tmp_path, capsys):
+    assert cli.main(["--pairs", "--methods", "dehoog", "--t-range", "0.01:inf",
+                     "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert cli.main(["--experiment", "B", "--t-range", "0.01:inf",
+                     "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err

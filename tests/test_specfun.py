@@ -63,7 +63,8 @@ def test_accuracy_on_log_grid_against_oracle():
 
 
 def test_near_imaginary_axis_band():
-    # hardest region for the continued fraction: almost purely imaginary
+    # kv accuracy against mpmath just inside the imaginary axis, where K0/K1
+    # oscillate and barely decay
     zs = np.geomspace(2.0, 30.0, 25) * np.exp(1j * (np.pi / 2 - 1e-8))
     k0, k1 = k01_values(zs)
     for z, a, b in zip(zs, k0, k1):
