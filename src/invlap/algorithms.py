@@ -166,7 +166,6 @@ class DeHoogParams:
     big_t: float
     gamma0: float
     m_half: int
-    eps: float = DEHOOG_DEFAULT_EPS
 
     def __post_init__(self):
         if self.big_t <= 0:
@@ -175,12 +174,11 @@ class DeHoogParams:
             raise ValueError("need M >= 1 (2M+1 >= 3 terms)")
 
     @classmethod
-    def rule_of_thumb(cls, terms: int, t_max: float, sigma: float = 0.0,
-                      eps: float = DEHOOG_DEFAULT_EPS) -> "DeHoogParams":
-        """T = 2 t_max and gamma0 = sigma - ln(eps)/T; terms = 2M+1."""
+    def rule_of_thumb(cls, terms: int, t_max: float, sigma: float = 0.0) -> "DeHoogParams":
+        """T = 2 t_max, gamma0 = sigma - ln(DEHOOG_DEFAULT_EPS)/T; terms = 2M+1."""
         m = max((terms - 1) // 2, 1)
         big_t = 2.0 * t_max
-        return cls(big_t=big_t, gamma0=sigma - math.log(eps) / big_t, m_half=m, eps=eps)
+        return cls(big_t=big_t, gamma0=sigma - math.log(DEHOOG_DEFAULT_EPS) / big_t, m_half=m)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +357,20 @@ def weeks_eval(a, params: WeeksParams, t: float):
 # fixed Talbot
 # ---------------------------------------------------------------------------
 
-def _cot(theta: np.ndarray, n: int) -> np.ndarray:
-    """cot(k pi / n) with reflection about pi/2 to avoid cancellation near pi."""
-    k = np.rint(theta * n / np.pi).astype(int)
-    out = np.empty_like(theta)
+def _talbot_nodes(r: float, n: int):
+    """theta_k = k pi / N, cot theta_k and p(theta_k) = r theta_k (cot theta_k + i)
+    for k = 1..N-1.
+
+    cot is reflected about pi/2 to avoid cancellation near pi.
+    """
+    k = np.arange(1, n)
+    theta = k * np.pi / n
+    cot = np.empty_like(theta)
     lower = theta <= np.pi / 2
-    out[lower] = 1.0 / np.tan(theta[lower])
+    cot[lower] = 1.0 / np.tan(theta[lower])
     # cot(theta) = -cot(pi - theta); pi - theta_k is computed exactly from k
-    refl = ~lower
-    out[refl] = -1.0 / np.tan((n - k[refl]) * np.pi / n)
-    return out
+    cot[~lower] = -1.0 / np.tan((n - k[~lower]) * np.pi / n)
+    return theta, cot, r * theta * (cot + 1j)
 
 
 def talbot_contour(r: float, n: int) -> np.ndarray:
@@ -378,12 +380,9 @@ def talbot_contour(r: float, n: int) -> np.ndarray:
     """
     if r <= 0:
         raise ValueError("contour scale r must be positive")
-    k = np.arange(n)
-    theta = k * np.pi / n
     p = np.empty(n, dtype=complex)
     p[0] = r
-    cot = _cot(theta[1:], n)
-    p[1:] = r * theta[1:] * (cot + 1j)
+    p[1:] = _talbot_nodes(r, n)[2]
     return p
 
 
@@ -408,10 +407,8 @@ def talbot_invert(samples, t: float, params: TalbotParams):
         shape = vals.shape[1:]
         bad = np.full(shape, np.nan) if shape else math.nan
         return bad, (FLAG_NONFINITE_SAMPLES,)
-    theta = np.arange(1, n) * np.pi / n
-    cot = _cot(theta, n)
+    theta, cot, p = _talbot_nodes(r, n)
     zeta = theta + (theta * cot - 1.0) * cot
-    p = r * theta * (cot + 1j)
     w = (1.0 + 1j * zeta)[(...,) + (None,) * (vals.ndim - 1)]
     ep = np.exp(t * p)[(...,) + (None,) * (vals.ndim - 1)]
     terms = ep * vals[1:] * w
@@ -496,8 +493,9 @@ def _dehoog_direct(a: np.ndarray, t: float, params: DeHoogParams):
 class DeHoogTable:
     """Continued-fraction representation of one sample vector.
 
-    Building the quotient-difference table depends only on the samples, so
-    a single table inverts every output time in a shared-sample sweep.
+    samples holds fbar at :func:`dehoog_nodes`.  Building the
+    quotient-difference table depends only on the samples, so a single
+    table inverts every output time in a shared-sample sweep.
     """
 
     def __init__(self, samples, params: DeHoogParams):
@@ -512,6 +510,8 @@ class DeHoogTable:
         self.tables = [_qd_coefficients(cols[:, j]) for j in range(cols.shape[1])]
 
     def evaluate(self, t: float):
+        """(value, flags) at t; a quotient-difference breakdown falls back
+        to the direct trapezoid sum with a diagnostic flag."""
         params = self.params
         z = np.exp(1j * np.pi * t / params.big_t)
         pref = math.exp(params.gamma0 * t) / params.big_t
@@ -531,12 +531,3 @@ class DeHoogTable:
             return float(out[0]), flags
         return out.reshape(self.samples.shape[1:]), flags
 
-
-def dehoog_invert(samples, t: float, params: DeHoogParams):
-    """Accelerated Fourier-series inversion of one time point.
-
-    samples holds fbar at :func:`dehoog_nodes`.  Returns (value, flags);
-    quotient-difference breakdown falls back to the direct trapezoid sum
-    with a diagnostic flag.
-    """
-    return DeHoogTable(samples, params).evaluate(t)

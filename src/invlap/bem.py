@@ -95,6 +95,15 @@ class BoundaryMesh:
             if k not in (DIRICHLET, NEUMANN):
                 raise ValueError(f"unknown boundary condition kind {k!r}")
 
+    def contains(self, point) -> bool:
+        """Whether point is finite and strictly inside the perimeter.
+
+        The winding angle is 2 pi inside, pi on an edge, pi/2 at a corner
+        of a convex perimeter and 0 outside.
+        """
+        pt = np.asarray(point, dtype=float)
+        return bool(np.all(np.isfinite(pt))) and abs(_winding_number(self, pt)) > 1.5 * np.pi
+
     @functools.cached_property
     def _boundary_quadrature(self) -> "_BoundaryQuadrature":
         return _boundary_quadrature(self)
@@ -310,13 +319,13 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     return HelmholtzSystem(h=hmat, g=gmat, q=q)
 
 
-def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh,
-                   f_t_hat: complex = 1.0) -> BoundarySolution:
+def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh) -> BoundarySolution:
     """Solve for the unknown boundary potential / flux densities.
 
-    Dirichlet elements carry phi = value * f_t_hat exactly and their flux
-    is solved for; Neumann elements carry flux = value * f_t_hat exactly
-    and their potential is solved for.
+    Dirichlet elements carry phi = value exactly and their flux is solved
+    for; Neumann elements carry flux = value exactly and their potential
+    is solved for.  The data are the spatial values of the mesh: a time
+    behaviour's image fbar_t(p) multiplies the solution afterwards.
     """
     n = mesh.n_elements
     if system.h.shape != (n, n):
@@ -324,8 +333,8 @@ def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh,
     dir_mask = np.array([k == DIRICHLET for k in mesh.bc_kind])
     phi = np.zeros(n, dtype=complex)
     flux = np.zeros(n, dtype=complex)
-    phi[dir_mask] = mesh.bc_value[dir_mask] * f_t_hat
-    flux[~dir_mask] = mesh.bc_value[~dir_mask] * f_t_hat
+    phi[dir_mask] = mesh.bc_value[dir_mask]
+    flux[~dir_mask] = mesh.bc_value[~dir_mask]
 
     a = np.where(dir_mask[None, :], -system.g, system.h)
     b = -system.h[:, dir_mask] @ phi[dir_mask] + system.g[:, ~dir_mask] @ flux[~dir_mask]
@@ -373,7 +382,7 @@ class _InteriorQuadrature:
 
 def _interior_quadrature(mesh: BoundaryMesh, pt: np.ndarray) -> _InteriorQuadrature:
     flags = []
-    if abs(_winding_number(mesh, pt)) < np.pi:
+    if not mesh.contains(pt):
         flags.append(FLAG_OUTSIDE_DOMAIN)
     pts, w = _gauss_points(mesh, NEAR_FIELD_SPLIT)
     rvec = pts - pt[None, None, :]
@@ -427,27 +436,3 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     grad = (grad_g_row.T @ solution.flux - grad_h_row.T @ solution.phi)
     return phi, grad, quad.flags
 
-
-def dump_mesh(mesh: BoundaryMesh, stream):
-    """Write the element table as documented plain text (debug aid)."""
-    stream.write("# invlap boundary mesh\n")
-    stream.write("# columns: x0 y0 x1 y1 nx ny length kind value\n")
-    for i in range(mesh.n_elements):
-        stream.write(
-            f"{mesh.starts[i,0]:.12g} {mesh.starts[i,1]:.12g} "
-            f"{mesh.ends[i,0]:.12g} {mesh.ends[i,1]:.12g} "
-            f"{mesh.normals[i,0]:.12g} {mesh.normals[i,1]:.12g} "
-            f"{mesh.lengths[i]:.12g} {mesh.bc_kind[i]} {mesh.bc_value[i]:.12g}\n")
-
-
-def dump_solution(solution: BoundarySolution, mesh: BoundaryMesh, stream):
-    """Write the solved boundary densities next to the element table."""
-    stream.write(f"# invlap boundary solution, q = {solution.q.real:.12g}"
-                 f"{solution.q.imag:+.12g}j\n")
-    stream.write("# columns: xm ym kind phi_re phi_im flux_re flux_im\n")
-    for i in range(mesh.n_elements):
-        stream.write(
-            f"{mesh.midpoints[i,0]:.12g} {mesh.midpoints[i,1]:.12g} "
-            f"{mesh.bc_kind[i]} "
-            f"{solution.phi[i].real:.12g} {solution.phi[i].imag:.12g} "
-            f"{solution.flux[i].real:.12g} {solution.flux[i].imag:.12g}\n")

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness, oracles
-from .core import make_time_grid
+from .core import METHODS, make_time_grid
 
 
 def _parse_config_file(path: str) -> dict:
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         if options.get("pairs"):
             grid = make_time_grid(t_lo, t_hi, n_times, "logarithmic")
             rows = harness.run_pairs_benchmark(
-                methods or harness.ALL_METHODS, oracles.pair_catalog(),
+                methods or METHODS, oracles.pair_catalog(),
                 terms or 41, grid)
             path = out_dir / "pairs.csv"
             with open(path, "w") as fh:

@@ -93,9 +93,12 @@ def make_time_grid(t_min: float, t_max: float, n: int, spacing: str = "logarithm
     """Build an n-point grid spanning [t_min, t_max].
 
     Logarithmic spacing uses equal ratios, linear uses equal steps.  A
-    single-point grid (n = 1) returns [t_min] and requires t_min == t_max
-    for the 'explicit' tag.
+    single-point grid (n = 1) is [t_min] and may also take the 'explicit'
+    tag of :class:`TimeGrid`.
     """
+    spacings = {"logarithmic": np.geomspace, "linear": np.linspace}
+    if spacing not in spacings and not (n == 1 and spacing == "explicit"):
+        raise ValueError(f"unknown spacing {spacing!r} (use 'logarithmic' or 'linear')")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not np.isfinite([t_min, t_max]).all():
@@ -108,13 +111,7 @@ def make_time_grid(t_min: float, t_max: float, n: int, spacing: str = "logarithm
         return TimeGrid(np.array([t_min]), spacing)
     if t_max == t_min:
         raise ValueError("t_max must exceed t_min for n > 1")
-    if spacing == "logarithmic":
-        times = np.geomspace(t_min, t_max, n)
-    elif spacing == "linear":
-        times = np.linspace(t_min, t_max, n)
-    else:
-        raise ValueError(f"unknown spacing {spacing!r} (use 'logarithmic' or 'linear')")
-    return TimeGrid(times, spacing)
+    return TimeGrid(spacings[spacing](t_min, t_max, n), spacing)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,11 @@ from .core import (FLAG_UNDEFINED_BEFORE_DELAY, METHODS, PER_TIME_METHODS,
                    CountingImage, SamplingStrategy, TimeGrid, evaluate_image,
                    invert_all, make_time_grid, plan_samples)
 
-ALL_METHODS = METHODS
 SHARED_METHODS = tuple(m for m in METHODS if m not in PER_TIME_METHODS)
 
 #: experiment id -> (behavior, strategy, default methods, default terms)
 EXPERIMENT_DEFAULTS = {
-    "A": (oracles.HEAVISIDE, SamplingStrategy.PER_TIME_OPTIMAL, ALL_METHODS, 9),
+    "A": (oracles.HEAVISIDE, SamplingStrategy.PER_TIME_OPTIMAL, METHODS, 9),
     "B": (oracles.HEAVISIDE, SamplingStrategy.SHARED_GLOBAL, SHARED_METHODS, 51),
     "C": (oracles.COSINE4T, SamplingStrategy.SHARED_GLOBAL, SHARED_METHODS, 51),
     "D": (oracles.DELAYED_STEP, SamplingStrategy.SHARED_GLOBAL, SHARED_METHODS, 51),
@@ -59,13 +58,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {sorted(EXPERIMENT_DEFAULTS)}")
         behavior, strategy, methods, terms = EXPERIMENT_DEFAULTS[self.experiment]
+        if self.terms < 0:
+            raise ConfigError(f"terms must be >= 0 (0 picks the default), got {self.terms}")
         out = self
         if not out.methods:
             out = replace(out, methods=methods)
-        if out.terms <= 0:
+        if out.terms == 0:
             out = replace(out, terms=terms)
         for m in out.methods:
-            if m not in ALL_METHODS:
+            if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
         per_time = [m for m in out.methods if m in PER_TIME_METHODS]
         if strategy is not SamplingStrategy.PER_TIME_OPTIMAL and per_time:
@@ -108,7 +109,7 @@ class BemImage:
     def _solve(self, p: complex):
         q = np.sqrt(p / self.alpha)
         system = bem.assemble(self.mesh, q)
-        solution = bem.solve_boundary(system, self.mesh, 1.0)
+        solution = bem.solve_boundary(system, self.mesh)
         phi, grad, _ = bem.eval_interior(solution, self.mesh, self.observation)
         ft = self.behavior.image(p)
         return np.array([phi, -grad[0]]) * ft
@@ -160,12 +161,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Per method: plan the Laplace samples, evaluate the BEM image once per
     distinct p, invert every grid time, and record per-time flags plus the
     evaluation accounting.  Reference columns come from the eigenfunction
-    series (step-type behaviors) and the Crank-Nicolson march.
+    series (step-type behaviors) and the Crank-Nicolson march.  An
+    observation point not strictly inside the mesh is a ConfigError.
     """
     config = config.resolved()
     behavior = config.behavior
     grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")
     mesh = bem.benchmark_rectangle_mesh(config.n_per_unit)
+    if not mesh.contains(config.observation):
+        raise ConfigError(f"observation point {config.observation} is not "
+                          "strictly inside the mesh")
     x_obs = config.observation[0]
 
     runs = {}

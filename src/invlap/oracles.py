@@ -29,7 +29,12 @@ STEADY_SLOPE = 2.0 * BENCH_AMPLITUDE / BENCH_LENGTH
 
 @dataclass(frozen=True)
 class TimeBehavior:
-    """A boundary-condition time signal and its Laplace image."""
+    """A time signal and its Laplace image: a boundary-condition behavior
+    or a transform pair of :func:`pair_catalog`.
+
+    sigma is the convergence abscissa of the image; tau > 0 is a dead
+    time, with the signal jumping at t = tau.
+    """
 
     name: str
     image: callable
@@ -78,41 +83,24 @@ DELAYED_STEP = TimeBehavior("delayed-step", _delayed_image, _delayed_time,
 BEHAVIORS = {b.name: b for b in (HEAVISIDE, COSINE4T, DELAYED_STEP)}
 
 
-@dataclass(frozen=True)
-class AnalyticPair:
-    """A Laplace image with its known time-domain inverse."""
-
-    name: str
-    image: callable
-    time_function: callable
-    sigma: float = 0.0
-    oscillatory: bool = False
-    discontinuous: bool = False
-
-    def __call__(self, t):
-        return self.time_function(t)
-
-
 def pair_catalog() -> tuple:
     """Transform pairs used to exercise the inverters without any PDE error.
 
-    The jump of the delayed step takes the Fourier midpoint value 1/2 at
-    t = tau, consistent with trapezoid-contour limits.
+    Each pair is a :class:`TimeBehavior`, named after its image.  The jump
+    of the delayed step takes the Fourier midpoint value 1/2 at t = tau,
+    consistent with trapezoid-contour limits.
     """
     return (
-        AnalyticPair("1/p", lambda p: 1.0 / p,
+        TimeBehavior("1/p", lambda p: 1.0 / p,
                      lambda t: np.ones_like(np.asarray(t, dtype=float))),
-        AnalyticPair("1/p^2", lambda p: 1.0 / (p * p),
+        TimeBehavior("1/p^2", lambda p: 1.0 / (p * p),
                      lambda t: np.asarray(t, dtype=float)),
-        AnalyticPair("1/(p+1)", lambda p: 1.0 / (p + 1.0),
+        TimeBehavior("1/(p+1)", lambda p: 1.0 / (p + 1.0),
                      lambda t: np.exp(-np.asarray(t, dtype=float))),
-        AnalyticPair("1/(p^2+1)", lambda p: 1.0 / (p * p + 1.0),
-                     lambda t: np.sin(np.asarray(t, dtype=float)),
-                     oscillatory=True),
-        AnalyticPair("p/(p^2+16)", _cosine4_image, _cosine4_time,
-                     oscillatory=True),
-        AnalyticPair("exp(-0.08p)/p", _delayed_image, _delayed_time,
-                     discontinuous=True),
+        TimeBehavior("1/(p^2+1)", lambda p: 1.0 / (p * p + 1.0),
+                     lambda t: np.sin(np.asarray(t, dtype=float))),
+        TimeBehavior("p/(p^2+16)", _cosine4_image, _cosine4_time),
+        TimeBehavior("exp(-0.08p)/p", _delayed_image, _delayed_time, tau=DELAY_TAU),
     )
 
 
@@ -241,6 +229,8 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     centered differences.
     """
     t_out = times.times if isinstance(times, TimeGrid) else np.asarray(times, dtype=float)
+    if not 0.0 <= x_obs <= BENCH_LENGTH:
+        raise ValueError(f"x_obs must lie in [0, {BENCH_LENGTH}]")
     if nx < 16:
         raise ValueError("nx must be >= 16")
     if dt <= 0:

@@ -8,15 +8,13 @@ half-plane.  They come from ``scipy.special.kv``, the AMOS routines
 
 Arguments with Re(z) < 0 take the principal branch, with the cut on the
 negative real axis and -x + 0j on its upper side.  There the values grow
-like exp(|Re z|) and :func:`bessel_k01` flags them once they leave the
-representable range.
+like exp(|Re z|) and turn non-finite once they leave the representable
+range; :mod:`invlap.core` flags non-finite image samples.
 
 Laguerre series are summed by ``numpy.polynomial.laguerre.lagval``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import lagval
@@ -24,21 +22,9 @@ from scipy.special import kv
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# Magnitude beyond which results are flagged as overflowed.
-OVERFLOW_MAGNITUDE = 1e300
-
 
 class SingularBesselArgument(ValueError):
     """Raised for z = 0, where K0 and K1 diverge."""
-
-
-@dataclass(frozen=True)
-class BesselPair:
-    """K0(z) and K1(z) for a single argument, with an overflow marker."""
-
-    k0: complex
-    k1: complex
-    overflow: bool = False
 
 
 def k01_values(z):
@@ -46,32 +32,14 @@ def k01_values(z):
 
     Accuracy is a few times 1e-15 relative for Re(z) >= 0 with
     1e-6 <= |z| <= 600.  Re(z) < 0 takes the principal branch and may
-    overflow to inf or NaN; callers needing flags should use
-    :func:`bessel_k01`.
+    overflow to inf or NaN, which :mod:`invlap.core` flags as a
+    non-finite sample.  z == 0 raises :class:`SingularBesselArgument`.
     """
     z = np.asarray(z, dtype=complex)
     # kv returns NaN at 0 rather than raising
     if np.any(z == 0):
         raise SingularBesselArgument("K0/K1 are singular at z = 0")
     return kv(0, z), kv(1, z)
-
-
-def bessel_k01(z: complex) -> BesselPair:
-    """K0 and K1 at a single complex argument.
-
-    Raises
-    ------
-    SingularBesselArgument
-        If z == 0.
-    """
-    zc = complex(z)
-    k0, k1 = k01_values(np.array([zc]))
-    k0v = complex(k0[0])
-    k1v = complex(k1[0])
-    overflow = not (np.isfinite(k0v) and np.isfinite(k1v)) or max(
-        abs(k0v), abs(k1v)
-    ) > OVERFLOW_MAGNITUDE
-    return BesselPair(k0v, k1v, overflow)
 
 
 def laguerre_sum(a, x):

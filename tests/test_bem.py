@@ -1,4 +1,3 @@
-import io
 import pickle
 
 import numpy as np
@@ -16,7 +15,7 @@ OBS = (1.0 / 3.0, 1.0)
 def _solve_interior(mesh, p, point=OBS):
     q = np.sqrt(complex(p))
     system = bem.assemble(mesh, q)
-    solution = bem.solve_boundary(system, mesh, 1.0)
+    solution = bem.solve_boundary(system, mesh)
     return bem.eval_interior(solution, mesh, point)
 
 
@@ -138,7 +137,7 @@ def test_matches_per_call_reference(density, log_abs_q, arg_q):
     ref = reference_bem.assemble(mesh, q)
     assert _normwise(system.g, ref.g) < 1e-13
     assert _normwise(system.h, ref.h) < 1e-13
-    solution = bem.solve_boundary(system, mesh, 1.0)
+    solution = bem.solve_boundary(system, mesh)
     # (1/3, 1) repeats distances, (0.6, 0.9) does not
     for point in ((0.6, 0.9), (1.0 / 3.0, 1.0)):
         phi, grad, flags = bem.eval_interior(solution, mesh, point)
@@ -206,26 +205,18 @@ def test_reciprocity_for_parallel_elements(mesh2):
 # boundary solve
 # ---------------------------------------------------------------------------
 
-def test_zero_time_behavior_gives_zero_solution(mesh2):
-    system = bem.assemble(mesh2, 1.0)
-    solution = bem.solve_boundary(system, mesh2, 0.0)
-    assert np.allclose(solution.phi, 0.0)
-    assert np.allclose(solution.flux, 0.0)
-
-
 def test_imposed_data_kept_exactly(mesh2):
     system = bem.assemble(mesh2, 2.0)
-    f_t = 0.7 + 0.2j
-    solution = bem.solve_boundary(system, mesh2, f_t)
+    solution = bem.solve_boundary(system, mesh2)
     kinds = np.array(mesh2.bc_kind)
     dirichlet = kinds == bem.DIRICHLET
-    assert np.array_equal(solution.phi[dirichlet], mesh2.bc_value[dirichlet] * f_t)
-    assert np.array_equal(solution.flux[~dirichlet], mesh2.bc_value[~dirichlet] * f_t)
+    assert np.array_equal(solution.phi[dirichlet], mesh2.bc_value[dirichlet])
+    assert np.array_equal(solution.flux[~dirichlet], mesh2.bc_value[~dirichlet])
 
 
 def test_boundary_antisymmetry(mesh4):
     system = bem.assemble(mesh4, 1.3)
-    solution = bem.solve_boundary(system, mesh4, 1.0)
+    solution = bem.solve_boundary(system, mesh4)
     mirrored = np.column_stack([3.0 - mesh4.midpoints[:, 0], mesh4.midpoints[:, 1]])
     for i in range(mesh4.n_elements):
         j = int(np.argmin(np.linalg.norm(mesh4.midpoints - mirrored[i], axis=1)))
@@ -264,7 +255,7 @@ def test_gradient_matches_finite_differences(mesh4):
     p = 2.0 + 1.0j
     q = np.sqrt(complex(p))
     system = bem.assemble(mesh4, q)
-    solution = bem.solve_boundary(system, mesh4, 1.0)
+    solution = bem.solve_boundary(system, mesh4)
     for point in ((0.8, 1.2), (2.2, 0.6)):
         _, grad, _ = bem.eval_interior(solution, mesh4, point)
         h = 1e-5
@@ -291,6 +282,16 @@ def test_near_boundary_and_outside_flags(mesh4):
     assert bem.FLAG_OUTSIDE_DOMAIN in flags
 
 
+def test_contains_only_strictly_interior_points(mesh2):
+    # the observation point, and the benchmark's (0.6, 0.9) with its mirror images
+    for point in (OBS, (0.6, 0.9), (2.4, 0.9), (0.6, 1.1), (2.4, 1.1)):
+        assert mesh2.contains(point)
+    # outside, on an edge, on a corner, non-finite
+    for point in ((-1.0, 1.0), (3.5, 1.0), (0.0, 1.0), (1.5, 2.0), (3.0, 0.0),
+                  (np.nan, 1.0), (1.0, np.inf)):
+        assert not mesh2.contains(point)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.2, 20.0), st.floats(0.1, 20.0))
 def test_interior_schwarz_reflection(re, im):
@@ -301,25 +302,3 @@ def test_interior_schwarz_reflection(re, im):
     phi_b, grad_b, _ = _solve_interior(mesh, np.conj(p))
     assert phi_b == pytest.approx(np.conj(phi_a), rel=1e-12, abs=1e-300)
     assert grad_b[0] == pytest.approx(np.conj(grad_a[0]), rel=1e-12, abs=1e-300)
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-# ---------------------------------------------------------------------------
-
-def test_dump_formats(mesh2):
-    buf = io.StringIO()
-    bem.dump_mesh(mesh2, buf)
-    lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
-    assert len(lines) == mesh2.n_elements
-    fields = lines[0].split()
-    assert len(fields) == 9
-    assert fields[7] in (bem.DIRICHLET, bem.NEUMANN)
-
-    system = bem.assemble(mesh2, 1.0)
-    solution = bem.solve_boundary(system, mesh2, 1.0)
-    buf = io.StringIO()
-    bem.dump_solution(solution, mesh2, buf)
-    lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
-    assert len(lines) == mesh2.n_elements
-    assert len(lines[0].split()) == 7

@@ -17,6 +17,14 @@ SG = SamplingStrategy.SHARED_GLOBAL
 SLC = SamplingStrategy.SHARED_PER_LOG_CYCLE
 
 
+def test_public_names_resolve():
+    import invlap
+
+    assert len(set(invlap.__all__)) == len(invlap.__all__)
+    for name in invlap.__all__:
+        assert getattr(invlap, name) is not None, name
+
+
 # ---------------------------------------------------------------------------
 # time grids
 # ---------------------------------------------------------------------------
@@ -55,6 +63,10 @@ def test_grid_validation():
         make_time_grid(0.01, math.inf, 4)
     with pytest.raises(ValueError):
         make_time_grid(math.nan, 1.0, 4)
+    with pytest.raises(ValueError, match="spacing"):
+        make_time_grid(1.0, 1.0, 1, "bogus")
+    with pytest.raises(ValueError, match="spacing"):
+        make_time_grid(1.0, 2.0, 3, "explicit")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invlap.algorithms import (FLAG_QD_FALLBACK, DeHoogParams, DeHoogTable,
-                               _dehoog_direct, dehoog_invert, dehoog_nodes)
+                               _dehoog_direct, dehoog_nodes)
 
 
 def _samples(image, params):
@@ -29,22 +29,22 @@ def test_nodes_on_vertical_contour():
 
 def test_inverts_ramp():
     params = DeHoogParams.rule_of_thumb(41, t_max=2.0)
-    value, flags = dehoog_invert(_samples(lambda p: 1.0 / p**2, params), 1.0, params)
+    value, flags = DeHoogTable(_samples(lambda p: 1.0 / p**2, params), params).evaluate(1.0)
     assert value == pytest.approx(1.0, abs=1e-8)
     assert flags == ()
 
 
 def test_inverts_cosine():
     params = DeHoogParams.rule_of_thumb(51, t_max=1.0)
-    value, flags = dehoog_invert(
-        _samples(lambda p: p / (p * p + 16.0), params), 1.0, params)
+    value, flags = DeHoogTable(
+        _samples(lambda p: p / (p * p + 16.0), params), params).evaluate(1.0)
     assert value == pytest.approx(math.cos(4.0), abs=1e-6)
     assert flags == ()
 
 
 def test_zero_series_falls_back_to_direct_sum():
     params = DeHoogParams.rule_of_thumb(21, t_max=1.0)
-    value, flags = dehoog_invert(np.zeros(21, dtype=complex), 0.5, params)
+    value, flags = DeHoogTable(np.zeros(21, dtype=complex), params).evaluate(0.5)
     assert value == 0.0
     assert FLAG_QD_FALLBACK in flags
 
@@ -56,7 +56,7 @@ def test_acceleration_matches_long_direct_sum():
     t_max = 2.0
     params = DeHoogParams.rule_of_thumb(41, t_max)
     image = lambda p: 1.0 / (p * p + 1.0) ** 2  # (sin t - t cos t)/2
-    accel, _ = dehoog_invert(_samples(image, params), 1.0, params)
+    accel, _ = DeHoogTable(_samples(image, params), params).evaluate(1.0)
 
     m_big = 5000
     big = DeHoogParams(big_t=params.big_t, gamma0=params.gamma0, m_half=m_big)
@@ -70,7 +70,7 @@ def test_table_reuse_matches_single_shot():
     samples = _samples(lambda p: 1.0 / (p + 0.5), params)
     table = DeHoogTable(samples, params)
     for t in (0.3, 1.0, 3.0):
-        one_shot, _ = dehoog_invert(samples, t, params)
+        one_shot, _ = DeHoogTable(samples, params).evaluate(t)
         reused, _ = table.evaluate(t)
         assert reused == one_shot
 
@@ -78,7 +78,7 @@ def test_table_reuse_matches_single_shot():
 def test_sample_count_checked():
     params = DeHoogParams.rule_of_thumb(21, t_max=1.0)
     with pytest.raises(ValueError):
-        dehoog_invert(np.ones(20, dtype=complex), 1.0, params)
+        DeHoogTable(np.ones(20, dtype=complex), params)
 
 
 def test_parameter_validation():
@@ -92,7 +92,7 @@ def test_vector_channels():
     params = DeHoogParams.rule_of_thumb(31, t_max=2.0)
     p = dehoog_nodes(params)
     samples = np.column_stack([1.0 / p, 1.0 / (p + 1.0)])
-    value, flags = dehoog_invert(samples, 1.0, params)
+    value, flags = DeHoogTable(samples, params).evaluate(1.0)
     assert value.shape == (2,)
     assert value[0] == pytest.approx(1.0, abs=1e-7)
     assert value[1] == pytest.approx(math.exp(-1.0), abs=1e-7)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from invlap import bem, cli, harness, oracles
-from invlap.core import SamplingStrategy, evaluate_image, make_time_grid, plan_samples
+from invlap.core import (METHODS, SamplingStrategy, evaluate_image,
+                         make_time_grid, plan_samples)
 
 TINY = dict(n_times=5, n_per_unit=2, terms=5, fd_nx=60, fd_dt=2e-3)
 
@@ -21,7 +22,7 @@ def test_config_defaults_resolved():
     assert "stehfest" not in cfg.methods
     assert cfg.terms == 51
     cfg = harness.ExperimentConfig(experiment="A").resolved()
-    assert cfg.methods == harness.ALL_METHODS
+    assert cfg.methods == METHODS
     assert cfg.terms == 9
 
 
@@ -36,6 +37,25 @@ def test_unknown_experiment_and_method():
         harness.ExperimentConfig(experiment="Z").resolved()
     with pytest.raises(harness.ConfigError):
         harness.ExperimentConfig(experiment="A", methods=("piessens",)).resolved()
+
+
+def test_negative_terms_rejected(tmp_path):
+    # 0 means "default" (the CLI passes it when --terms is absent)
+    with pytest.raises(harness.ConfigError, match="terms"):
+        harness.ExperimentConfig(experiment="A", terms=-7).resolved()
+    assert cli.main(["--experiment", "A", "--terms", "-7", "--times", "3",
+                     "--mesh-density", "2", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("point", [(-1.0, 1.0), (3.5, 1.0), (math.nan, 1.0)])
+def test_observation_outside_mesh_rejected(point, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a BEM solve ran for a bad observation point")
+
+    monkeypatch.setattr(bem, "assemble", no_solve)
+    config = harness.ExperimentConfig(experiment="A", observation=point, **TINY)
+    with pytest.raises(harness.ConfigError, match="observation"):
+        harness.run_experiment(config)
 
 
 def test_bem_image_counts_solves(mesh2):
@@ -75,7 +95,7 @@ def test_experiment_accounting_and_flags(tiny_a):
         assert run.evaluations_measured == run.evaluations_planned
         expected_raw = 5 * (6 if method == "stehfest" else 5)
         assert run.evaluations_raw == expected_raw
-    assert set(tiny_a.runs) == set(harness.ALL_METHODS)
+    assert set(tiny_a.runs) == set(METHODS)
 
 
 def test_experiment_reference_columns(tiny_a):

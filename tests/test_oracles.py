@@ -40,7 +40,7 @@ def test_forward_transform_quadrature(pair, p):
         return (pair.time_function(t) * np.exp(-p * t)).imag
 
     upper = 60.0 / abs(np.real(p))  # exp(-Re(p) t) < 1e-26 beyond
-    points = [0.08] if pair.discontinuous else None
+    points = [pair.tau] if pair.tau > 0 else None
     re, _ = scipy.integrate.quad(integrand_re, 0.0, upper, limit=400, points=points)
     im, _ = scipy.integrate.quad(integrand_im, 0.0, upper, limit=400, points=points)
     got = complex(re, im)
@@ -175,6 +175,10 @@ def test_fd_argument_validation():
         crank_nicolson_1d(1.0, np.array([1.0]), HEAVISIDE, nx=8)
     with pytest.raises(ValueError):
         crank_nicolson_1d(1.0, np.array([0.005]), HEAVISIDE, dt=1e-2)
+    # outside the rod a negative x_obs would index from the far end
+    for x_obs in (-1.0, 3.5, math.nan):
+        with pytest.raises(ValueError, match="x_obs"):
+            crank_nicolson_1d(x_obs, np.array([1.0]), HEAVISIDE, nx=32)
 
 
 def test_fd_rejects_non_finite_data():
