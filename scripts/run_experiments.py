@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run all four benchmark experiments and write their CSV outputs.
 
+Prints per experiment and method the image calls and the model solves
+they cost; a p solved by an earlier experiment costs no solve.
+
 Usage: python scripts/run_experiments.py [output_dir]
 """
 
@@ -24,7 +27,9 @@ def main() -> int:
             harness.write_experiment_csv(result, fh)
         summaries.extend(result.summary)
         evals = {m: r.evaluations_measured for m, r in result.runs.items()}
-        print(f"experiment {experiment}: {elapsed:6.1f}s  evaluations {evals}")
+        solves = {m: r.model_solves for m, r in result.runs.items()}
+        print(f"experiment {experiment}: {elapsed:6.1f}s  evaluations {evals}  "
+              f"model solves {solves}")
     with open(out / "summary.csv", "w") as fh:
         harness.write_summary_csv(summaries, fh)
     print(f"wrote {out}/summary.csv")

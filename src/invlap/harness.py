@@ -3,8 +3,8 @@
 Each experiment inverts the boundary element solution of the transformed
 diffusion benchmark at one observation point, for every requested
 inversion method, and accounts for exactly how many image-function
-evaluations (BEM solves) each method consumed.  CSV output is
-deterministic and byte-stable for a fixed configuration.
+evaluations each method consumed and how many BEM solves they cost.  CSV
+output is deterministic and byte-stable for a fixed configuration.
 
 Flux sign convention: the reported flux is the x-component of -grad(phi)
 at the observation point.
@@ -12,7 +12,9 @@ at the observation point.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,34 +87,83 @@ class ExperimentConfig:
         return EXPERIMENT_DEFAULTS[self.experiment][1]
 
 
+#: Benchmark meshes kept by density, so that every experiment at one
+#: density shares the transfer memo below.
+_MESH_MEMO_SIZE = 4
+#: (mesh, observation, alpha) keys whose transfers are kept, and the most
+#: transfers kept per key; past that, solves still run but are not stored.
+_TRANSFER_MEMO_SIZE = 4
+_TRANSFERS_PER_KEY = 4096
+
+_transfer_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_MESH_MEMO_SIZE)
+def _benchmark_mesh(n_per_unit: int) -> bem.BoundaryMesh:
+    return bem.benchmark_rectangle_mesh(n_per_unit)
+
+
+@functools.lru_cache(maxsize=_TRANSFER_MEMO_SIZE)
+def _transfers(mesh: bem.BoundaryMesh, observation: tuple, alpha: float) -> dict:
+    """Bit pattern of p -> (transfer, eval_interior flags) for one key."""
+    return {}
+
+
 class BemImage:
     """Image function of the benchmark: observation potential and flux.
 
-    One boundary element solve per Laplace parameter yields both the
-    potential and the x-flux transfer at the observation point; both are
-    multiplied by the boundary behavior's image fbar_t(p).  The call
-    counter measures actual solves, which the planner's deduplicated
-    total must match.
+    The spatial transfer, potential and x-flux at the observation point
+    for the mesh's boundary values, depends on (mesh, observation, alpha,
+    p) only.  One boundary element solve per distinct p yields it, and a
+    process-wide memo keeps it by the exact bits of p for every image on
+    the same key, whatever its time behavior.  Each call multiplies the
+    transfer by the behavior's image fbar_t(p).  ``calls`` counts image
+    calls, which the planner's deduplicated total must match; ``solves``
+    counts the solves this image actually ran, and ``flags`` holds the
+    flags of :func:`bem.eval_interior` at the observation point once the
+    image has been called.
     """
 
     def __init__(self, mesh: bem.BoundaryMesh, observation, behavior, alpha=1.0):
-        self._counting = CountingImage(self._solve)
+        self._counting = CountingImage(self._image)
+        self._lock = threading.Lock()
         self.mesh = mesh
         self.observation = tuple(observation)
         self.behavior = behavior
         self.alpha = alpha
+        self.solves = 0
+        self.flags = ()
 
     @property
     def calls(self) -> int:
         return self._counting.calls
 
-    def _solve(self, p: complex):
-        q = np.sqrt(p / self.alpha)
-        system = bem.assemble(self.mesh, q)
-        solution = bem.solve_boundary(system, self.mesh)
-        phi, grad, _ = bem.eval_interior(solution, self.mesh, self.observation)
-        ft = self.behavior.image(p)
-        return np.array([phi, -grad[0]]) * ft
+    def _transfer(self, p: complex):
+        # lru_cache may build two dicts for threads that miss at once
+        with _transfer_lock:
+            transfers = _transfers(self.mesh, self.observation, self.alpha)
+        # bits, not value: -0.0 == 0.0, but sqrt takes its branch from the sign
+        key = np.complex128(p).tobytes()
+        entry = transfers.get(key)
+        if entry is None:
+            q = np.sqrt(p / self.alpha)
+            system = bem.assemble(self.mesh, q)
+            solution = bem.solve_boundary(system, self.mesh)
+            phi, grad, flags = bem.eval_interior(solution, self.mesh, self.observation)
+            transfer = np.array([phi, -grad[0]])
+            transfer.flags.writeable = False
+            entry = (transfer, flags)
+            with self._lock:
+                self.solves += 1
+            # threads racing on one p store identical values
+            if len(transfers) < _TRANSFERS_PER_KEY:
+                entry = transfers.setdefault(key, entry)
+        return entry
+
+    def _image(self, p: complex):
+        # the flags depend on the point only, so every p gives the same
+        transfer, self.flags = self._transfer(p)
+        return transfer * self.behavior.image(p)
 
     def __call__(self, p: complex):
         return self._counting(p)
@@ -128,6 +179,7 @@ class MethodRun:
     evaluations_planned: int
     evaluations_measured: int
     per_time_evaluations: tuple
+    model_solves: int
 
 
 @dataclass
@@ -160,14 +212,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Per method: plan the Laplace samples, evaluate the BEM image once per
     distinct p, invert every grid time, and record per-time flags plus the
-    evaluation accounting.  Reference columns come from the eigenfunction
-    series (step-type behaviors) and the Crank-Nicolson march.  An
-    observation point not strictly inside the mesh is a ConfigError.
+    evaluation accounting.  The mesh is shared per density within the
+    process, so a p already solved at this point, by any method or
+    experiment, costs no new model solve.  Reference columns come from the
+    eigenfunction series (step-type behaviors) and the Crank-Nicolson
+    march.  An observation point not strictly inside the mesh is a
+    ConfigError.
     """
     config = config.resolved()
     behavior = config.behavior
     grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")
-    mesh = bem.benchmark_rectangle_mesh(config.n_per_unit)
+    mesh = _benchmark_mesh(config.n_per_unit)
     if not mesh.contains(config.observation):
         raise ConfigError(f"observation point {config.observation} is not "
                           "strictly inside the mesh")
@@ -176,8 +231,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     runs = {}
     for method in config.methods:
         image = BemImage(mesh, config.observation, behavior, config.alpha)
-        plan = plan_samples(method, grid, config.terms, config.strategy,
-                            sigma=behavior.sigma)
+        plan = plan_samples(method, grid, config.terms, config.strategy)
         samples = evaluate_image(plan, image, workers=config.workers)
         result = invert_all(method, samples, grid)
         if image.calls != plan.total_evaluations:
@@ -190,6 +244,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for i, t in enumerate(grid.times):
                 if t < behavior.tau:
                     flags[i] = flags[i] + (FLAG_UNDEFINED_BEFORE_DELAY,)
+        if image.flags:
+            # a point near the boundary degrades every value at it
+            flags = [f + image.flags for f in flags]
         runs[method] = MethodRun(
             method=method,
             potential=result.values[:, 0],
@@ -199,6 +256,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             evaluations_planned=plan.total_evaluations,
             evaluations_measured=result.evaluations_measured,
             per_time_evaluations=result.per_time_evaluations,
+            model_solves=image.solves,
         )
 
     if behavior.name == oracles.COSINE4T.name:
@@ -298,7 +356,7 @@ def run_pairs_benchmark(methods, pairs, terms: int, grid: TimeGrid) -> list:
                     else SamplingStrategy.SHARED_GLOBAL)
         for pair in pairs:
             image = CountingImage(pair.image)
-            plan = plan_samples(method, grid, terms, strategy, sigma=pair.sigma)
+            plan = plan_samples(method, grid, terms, strategy)
             samples = evaluate_image(plan, image)
             result = invert_all(method, samples, grid)
             ref = np.array([float(pair.time_function(t)) for t in grid.times])

@@ -32,14 +32,13 @@ class TimeBehavior:
     """A time signal and its Laplace image: a boundary-condition behavior
     or a transform pair of :func:`pair_catalog`.
 
-    sigma is the convergence abscissa of the image; tau > 0 is a dead
-    time, with the signal jumping at t = tau.
+    Every image converges for Re p > 0; tau > 0 is a dead time, with the
+    signal jumping at t = tau.
     """
 
     name: str
     image: callable
     time_function: callable
-    sigma: float = 0.0
     tau: float = 0.0
 
     def __call__(self, t):

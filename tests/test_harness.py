@@ -1,13 +1,14 @@
 import io
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from invlap import bem, cli, harness, oracles
-from invlap.core import (METHODS, SamplingStrategy, evaluate_image,
-                         make_time_grid, plan_samples)
+from invlap.core import (METHODS, PER_TIME_METHODS, SamplingStrategy,
+                         evaluate_image, make_time_grid, plan_samples)
 
 TINY = dict(n_times=5, n_per_unit=2, terms=5, fd_nx=60, fd_dt=2e-3)
 
@@ -58,16 +59,74 @@ def test_observation_outside_mesh_rejected(point, monkeypatch):
         harness.run_experiment(config)
 
 
-def test_bem_image_counts_solves(mesh2):
-    image = harness.BemImage(mesh2, (1.0, 1.0), oracles.HEAVISIDE)
+def test_bem_image_counts_solves():
+    mesh = bem.benchmark_rectangle_mesh(2)
+    image = harness.BemImage(mesh, (1.0, 1.0), oracles.HEAVISIDE)
     v1 = image(1.0 + 0.0j)
-    v2 = image(2.0 + 1.0j)
-    assert image.calls == 2
+    image(2.0 + 1.0j)
+    assert (image.calls, image.solves) == (2, 2)
     assert v1.shape == (2,)
-    # heaviside image divides the transfer by p
-    transfer = harness.BemImage(mesh2, (1.0, 1.0), oracles.HEAVISIDE)
-    assert np.allclose(transfer(3.0), transfer(3.0))
-    assert transfer.calls == 2
+    # another image on the same mesh and point reuses the solve at p = 1
+    other = harness.BemImage(mesh, (1.0, 1.0), oracles.COSINE4T)
+    other(1.0 + 0.0j)
+    assert np.array_equal(other(3.0), other(3.0))
+    assert (other.calls, other.solves) == (3, 1)
+    # a different alpha is a different transfer
+    slow = harness.BemImage(mesh, (1.0, 1.0), oracles.HEAVISIDE, alpha=2.0)
+    assert not np.array_equal(slow(1.0 + 0.0j), v1)
+    assert slow.solves == 1
+
+
+def test_full_transfer_memo_still_solves(monkeypatch):
+    monkeypatch.setattr(harness, "_TRANSFERS_PER_KEY", 1)
+    image = harness.BemImage(bem.benchmark_rectangle_mesh(2), (1.0, 1.0), oracles.HEAVISIDE)
+    first = [image(p) for p in (1.0 + 0.0j, 2.0 + 1.0j)]
+    again = [image(p) for p in (1.0 + 0.0j, 2.0 + 1.0j)]
+    # only the first p was stored
+    assert (image.calls, image.solves) == (4, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def _uncached_image(mesh, point, behavior, p):
+    # the image without any memo: one solve, then the behavior's image
+    solution = bem.solve_boundary(bem.assemble(mesh, np.sqrt(p)), mesh)
+    phi, grad, _ = bem.eval_interior(solution, mesh, point)
+    return np.array([phi, -grad[0]]) * behavior.image(p)
+
+
+def test_cached_transfer_bit_identical_warm_and_cold():
+    grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
+    p = np.concatenate([
+        plan_samples(m, grid, 6, SamplingStrategy.PER_TIME_OPTIMAL if m in PER_TIME_METHODS
+                     else SamplingStrategy.SHARED_GLOBAL).p
+        for m in METHODS])
+    distinct = len({complex(v) for v in p})
+    mesh = bem.benchmark_rectangle_mesh(2)
+    point = (0.6, 0.9)
+    for behavior, cold_solves in ((oracles.HEAVISIDE, distinct), (oracles.COSINE4T, 0)):
+        for solves in (cold_solves, 0):
+            image = harness.BemImage(mesh, point, behavior)
+            for v in p:
+                assert np.array_equal(image(complex(v)),
+                                      _uncached_image(mesh, point, behavior, complex(v)))
+            assert image.calls == p.size
+            assert image.solves == solves
+
+
+def test_shared_experiments_solve_each_p_once():
+    # experiments B, C and D plan identical p vectors
+    harness._benchmark_mesh.cache_clear()
+    harness._transfers.cache_clear()
+    runs = []
+    for experiment in "BCD":
+        config = harness.ExperimentConfig(
+            experiment, t_min=0.01, t_max=1.0, terms=15, n_per_unit=2,
+            observation=(0.6, 0.9), fd_nx=60, fd_dt=2e-3)
+        runs += harness.run_experiment(config).runs.values()
+    assert all(r.evaluations_measured == r.evaluations_planned for r in runs)
+    assert sum(r.evaluations_measured for r in runs) == 180
+    assert sum(r.model_solves for r in runs) == 60
+    assert sum(r.model_solves for r in runs[4:]) == 0
 
 
 def test_cold_cache_threaded_evaluation_bit_identical():
@@ -84,10 +143,36 @@ def test_cold_cache_threaded_evaluation_bit_identical():
                                      oracles.HEAVISIDE)
             runs[workers] = evaluate_image(plan, image, workers=workers).values
             assert image.calls == plan.total_evaluations
+            # a plan's p are distinct, so no two threads solve the same one
+            assert image.solves == plan.total_evaluations
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(runs[2], runs[1])
     assert np.array_equal(runs[4], runs[1])
+
+
+def test_threads_racing_on_one_p_store_identical_transfers():
+    grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
+    p = [complex(v) for v in plan_samples("dehoog", grid, 9, SamplingStrategy.SHARED_GLOBAL).p]
+    mesh = bem.benchmark_rectangle_mesh(2)
+    image = harness.BemImage(mesh, (0.6, 0.9), oracles.HEAVISIDE)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # four threads ask for every p at once
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            values = list(pool.map(image, [v for v in p for _ in range(4)], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert image.calls == 4 * len(p)
+    assert len(p) <= image.solves <= 4 * len(p)
+    assert len(harness._transfers(mesh, (0.6, 0.9), 1.0)) == len(p)
+    serial = harness.BemImage(mesh, (0.6, 0.9), oracles.HEAVISIDE)
+    for i, v in enumerate(p):
+        expected = _uncached_image(mesh, (0.6, 0.9), oracles.HEAVISIDE, v)
+        assert all(np.array_equal(values[4 * i + k], expected) for k in range(4))
+        assert np.array_equal(serial(v), expected)
+    assert serial.solves == 0
 
 
 def test_experiment_accounting_and_flags(tiny_a):
@@ -95,6 +180,8 @@ def test_experiment_accounting_and_flags(tiny_a):
         assert run.evaluations_measured == run.evaluations_planned
         expected_raw = 5 * (6 if method == "stehfest" else 5)
         assert run.evaluations_raw == expected_raw
+        assert run.model_solves <= run.evaluations_measured
+        assert not any(bem.FLAG_NEAR_BOUNDARY in f for f in run.flags)
     assert set(tiny_a.runs) == set(METHODS)
 
 
@@ -138,6 +225,24 @@ def test_delayed_experiment_weeks_flagged():
             assert "undefined-before-delay" in run.flags[i]
         else:
             assert "undefined-before-delay" not in run.flags[i]
+
+
+def test_near_boundary_point_flags_every_time():
+    # (0.1, 1.0) is inside the mesh but within half an element of its left side
+    config = harness.ExperimentConfig("B", observation=(0.1, 1.0), n_times=3, terms=9,
+                                      n_per_unit=2, t_max=1.0, fd_nx=60, fd_dt=2e-3)
+    harness.run_experiment(config)
+    # the flags are kept with the cached transfers
+    result = harness.run_experiment(config)
+    for run in result.runs.values():
+        assert run.model_solves == 0
+        assert all(bem.FLAG_NEAR_BOUNDARY in f for f in run.flags)
+    buf = io.StringIO()
+    harness.write_experiment_csv(result, buf)
+    method_rows = [line for line in buf.getvalue().splitlines()[2:]
+                   if ",reference-" not in line]
+    assert len(method_rows) == 3 * len(result.runs)
+    assert all(line.endswith(bem.FLAG_NEAR_BOUNDARY) for line in method_rows)
 
 
 def test_pairs_benchmark_rows():
