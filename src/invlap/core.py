@@ -231,25 +231,59 @@ def _prepare_nonfinite(samples, params):
 def _dedup(nodes: list) -> tuple:
     """Merge near-identical p values; returns (distinct array, index arrays).
 
-    Quadratic scan with a full relative comparison; plans are small enough
-    that robustness beats cleverness here.
+    Greedy in plan order over the complex node arrays: a node joins the
+    earliest-made representative r with |v - r| <= DEDUP_RTOL * max(|v|, |r|),
+    or becomes a new one.  Any such r is within DEDUP_RTOL * |v| /
+    (1 - DEDUP_RTOL) of v in real and in imaginary part, so sorts by each
+    part and `searchsorted` give every node two candidate windows in
+    O(n log n).  The narrower one is used, since a vertical contour (de
+    Hoog, Weeks) shares one real part and the real axis one imaginary part,
+    and the rule is replayed in Python only for nodes with a candidate
+    besides themselves.  The windows are twice that bound, and at least
+    the smallest normal double, so that rounding cannot drop a candidate.
+    With an infinite modulus the rule holds at any distance, so a node of
+    infinite or NaN modulus has every earlier node as a candidate and is a
+    candidate of every later one.
     """
-    reps: list = []
-    index_arrays = []
-    for arr in nodes:
-        idx = np.empty(arr.size, dtype=int)
-        for j, v in enumerate(arr):
-            hit = -1
-            for k, r in enumerate(reps):
-                if abs(v - r) <= DEDUP_RTOL * max(abs(v), abs(r)):
-                    hit = k
-                    break
-            if hit < 0:
-                reps.append(v)
-                hit = len(reps) - 1
-            idx[j] = hit
-        index_arrays.append(idx)
-    return np.array(reps, dtype=complex), index_arrays
+    flat = np.concatenate(nodes)
+    n = flat.size
+    with np.errstate(over="ignore"):
+        mod = np.abs(flat)
+        finite = np.isfinite(mod)
+        regular = np.flatnonzero(finite)
+        half = np.maximum(2.0 * DEDUP_RTOL * mod[regular], np.finfo(float).tiny)
+        windows = []
+        for part in (flat.real[regular], flat.imag[regular]):
+            order = np.argsort(part, kind="stable")
+            key = part[order]
+            windows.append((regular[order].tolist(),
+                            np.searchsorted(key, part - half, side="left"),
+                            np.searchsorted(key, part + half, side="right")))
+    (re_pos, re_lo, re_hi), (im_pos, im_lo, im_hi) = windows
+    use_im = im_hi - im_lo < re_hi - re_lo
+    lo = np.where(use_im, im_lo, re_lo)
+    hi = np.where(use_im, im_hi, re_hi)
+
+    irregular = np.flatnonzero(~finite).tolist()
+    crowded = np.flatnonzero(hi - lo > 1) if not irregular else np.arange(regular.size)
+    candidates = {i: range(i) for i in irregular}
+    for i, a, b, im in zip(regular[crowded].tolist(), lo[crowded].tolist(),
+                           hi[crowded].tolist(), use_im[crowded].tolist()):
+        candidates[i] = sorted((im_pos if im else re_pos)[a:b] + irregular)
+
+    rep = list(range(n))
+    for i in sorted(candidates):
+        v = flat[i]
+        for j in candidates[i]:
+            if j >= i:
+                break
+            if rep[j] == j and abs(v - flat[j]) <= DEDUP_RTOL * max(abs(v), abs(flat[j])):
+                rep[i] = j
+                break
+    rep = np.array(rep, dtype=int)
+    first = rep == np.arange(n)
+    index = (np.cumsum(first) - 1)[rep]
+    return flat[first], np.split(index, np.cumsum([arr.size for arr in nodes])[:-1])
 
 
 def plan_samples(method: str, grid: TimeGrid, terms: int,
@@ -309,15 +343,6 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
                       raw_evaluations=sum(nodes.size for nodes in node_lists))
 
 
-def _flag_sample(v) -> str:
-    mag = np.max(np.abs(np.atleast_1d(v)))
-    if not np.all(np.isfinite(np.atleast_1d(v))) or mag >= SAMPLE_OVERFLOW_MAGNITUDE:
-        return FLAG_SAMPLE_OVERFLOW
-    if mag >= SAMPLE_LARGE_MAGNITUDE:
-        return FLAG_SAMPLE_LARGE
-    return ""
-
-
 def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> SampleSet:
     """Evaluate the image function once per distinct planned p.
 
@@ -325,28 +350,43 @@ def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> Sa
     vector, for several observables sharing one model solve).  Results
     are assembled in plan order no matter the evaluation order, so a
     thread pool over `workers` gives bit-identical output to the serial
-    path.  Non-finite or extreme values are flagged, not dropped.
+    path.  An image whose value changes shape between calls raises
+    ImageEvaluationError at the first p whose value differs in shape from
+    the first one.  A sample is flagged 'overflow' if any entry is
+    non-finite or reaches SAMPLE_OVERFLOW_MAGNITUDE, else 'large' from
+    SAMPLE_LARGE_MAGNITUDE; flagged values are kept, not dropped.
     """
     if plan.p.size == 0:
         raise ValueError("plan is empty")
+    p_list = plan.p.tolist()
 
     def call(p):
         try:
-            return image(complex(p))
+            return image(p)
         except Exception as exc:  # noqa: BLE001 - re-raised with context
-            raise ImageEvaluationError(complex(p), exc) from exc
+            raise ImageEvaluationError(p, exc) from exc
 
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(call, plan.p))
+            raw = list(pool.map(call, p_list))
     else:
-        raw = [call(p) for p in plan.p]
+        raw = [call(p) for p in p_list]
 
-    first = np.asarray(raw[0], dtype=complex)
-    values = np.empty((plan.p.size,) + first.shape, dtype=complex)
-    for i, v in enumerate(raw):
-        values[i] = v
-    flags = tuple(_flag_sample(v) for v in values)
+    try:
+        values = np.array(raw, dtype=complex)
+    except ValueError as exc:
+        shape = np.shape(raw[0])
+        for p, v in zip(p_list, raw):
+            if np.shape(v) != shape:
+                raise ImageEvaluationError(p, ValueError(
+                    f"value of shape {np.shape(v)}, but shape {shape} "
+                    f"at p = {p_list[0]!r}")) from exc
+        raise
+
+    rows = np.abs(values).reshape(values.shape[0], -1).max(axis=1)
+    level = np.where(rows < SAMPLE_OVERFLOW_MAGNITUDE, rows >= SAMPLE_LARGE_MAGNITUDE, 2)
+    names = ("", FLAG_SAMPLE_LARGE, FLAG_SAMPLE_OVERFLOW)
+    flags = tuple(names[k] for k in level.tolist())
     return SampleSet(plan=plan, values=values, sample_flags=flags,
                      evaluations_measured=len(raw))
 

@@ -354,9 +354,9 @@ def run_pairs_benchmark(methods, pairs, terms: int, grid: TimeGrid) -> list:
     for method in methods:
         strategy = (SamplingStrategy.PER_TIME_OPTIMAL if method in PER_TIME_METHODS
                     else SamplingStrategy.SHARED_GLOBAL)
+        plan = plan_samples(method, grid, terms, strategy)
         for pair in pairs:
             image = CountingImage(pair.image)
-            plan = plan_samples(method, grid, terms, strategy)
             samples = evaluate_image(plan, image)
             result = invert_all(method, samples, grid)
             ref = np.array([float(pair.time_function(t)) for t in grid.times])

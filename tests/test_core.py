@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_dedup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,6 +132,46 @@ def test_dedup_merges_near_identical_values():
     assert np.array_equal(idx[0], idx[1])
 
 
+_RTOL = core.DEDUP_RTOL
+_BASES = (1.0, 0.25 + 3.0j, -2.0 - 1.0j, 1e-300 + 1e-300j, 3e150 - 1e150j)
+#: relative offsets in units of DEDUP_RTOL: inside, near and outside the tolerance
+_OFFSETS = (0.0, 0.3, 0.9, 1.1, 3.0, -0.3, -0.9, -1.1, -3.0)
+_SPECIALS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(np.nan, 0.0),
+             complex(np.nan, 1.0), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+             complex(1.0, np.inf), complex(np.inf, np.nan), complex(1.5e308, 1.5e308))
+_NEAR = st.builds(lambda base, f, g: base * complex(1.0 + f * _RTOL, g * _RTOL),
+                  st.sampled_from(_BASES), st.sampled_from(_OFFSETS),
+                  st.sampled_from(_OFFSETS))
+_PIECES = st.one_of(
+    _NEAR.map(lambda v: [v]),
+    _NEAR.map(lambda v: [v, v.conjugate()]),
+    # chains: neighbours 0.9 tolerances apart, ends 1.8 or more; radial
+    # ones, and vertical ones that share one real part
+    st.builds(lambda base, n: [base * (1.0 + 0.9 * k * _RTOL) for k in range(n)],
+              st.sampled_from(_BASES), st.integers(3, 5)),
+    st.builds(lambda base, n: [base + 0.9j * k * _RTOL * abs(base) for k in range(n)],
+              st.sampled_from(_BASES), st.integers(3, 5)),
+    st.sampled_from(_SPECIALS).map(lambda v: [v]),
+)
+_NODE_ARRAYS = st.lists(_PIECES, max_size=6).flatmap(
+    lambda pieces: st.permutations([v for piece in pieces for v in piece])).map(
+    lambda values: np.array(values, dtype=complex))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NODE_ARRAYS, min_size=1, max_size=4))
+def test_dedup_matches_greedy_scan(nodes):
+    with np.errstate(all="ignore"):
+        distinct, index = core._dedup(nodes)
+        ref_distinct, ref_index = reference_dedup.dedup(nodes)
+    assert distinct.dtype == ref_distinct.dtype
+    assert distinct.tobytes() == ref_distinct.tobytes()
+    assert len(index) == len(ref_index)
+    for got, want in zip(index, ref_index):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dedup_sound_for_inversion():
     # inverting from the deduplicated plan equals inverting from a plan
     # that evaluates every raw node separately
@@ -209,21 +250,75 @@ def test_evaluate_error_carries_p():
     assert err.value.p in plan.p
 
 
-def test_evaluate_flags_large_and_overflow():
-    image = lambda p: np.exp(-0.08 * p) / p
-    p = np.array([-200.0 + 0.0j, -750.0 + 0.0j, 1.0 + 0.0j])
+def _flag_row(v) -> str:
+    """The flag rule applied to one sample on its own."""
+    v = np.atleast_1d(v)
+    mag = np.max(np.abs(v))
+    if not np.all(np.isfinite(v)) or mag >= core.SAMPLE_OVERFLOW_MAGNITUDE:
+        return core.FLAG_SAMPLE_OVERFLOW
+    if mag >= core.SAMPLE_LARGE_MAGNITUDE:
+        return core.FLAG_SAMPLE_LARGE
+    return ""
+
+
+#: (first channel, second channel, flag of the scalar image, of the 2-channel one)
+_FLAG_ROWS = (
+    (1e4, 1.0, "large", "large"),
+    (np.nextafter(1e4, 0.0), 1.0, "", ""),
+    (-1e4j, 1.0, "large", "large"),
+    (1e20, 1.0, "overflow", "overflow"),
+    (np.nextafter(1e20, 0.0), 1.0, "large", "large"),
+    (1e20j, 1.0, "overflow", "overflow"),
+    (1.0, 1e4, "", "large"),
+    (1.0, -1e20, "", "overflow"),
+    (complex(np.nan, 0.0), 1.0, "overflow", "overflow"),
+    (1.0, complex(0.0, np.nan), "", "overflow"),
+    (np.inf, 1.0, "overflow", "overflow"),
+    (-np.inf, 1.0, "overflow", "overflow"),
+    (1.0, complex(0.0, -np.inf), "", "overflow"),
+    (0.0, 0.0, "", ""),
+)
+
+
+@pytest.mark.parametrize("channels", [1, 2], ids=["scalar", "2-channel"])
+def test_evaluate_flags_large_and_overflow(channels):
+    # rows 0-2 are exp(-0.08 p) / p at p = -200, -750, 1; row 3 + k is _FLAG_ROWS[k]
+    p = np.concatenate([[-200.0, -750.0, 1.0], 3.0 + np.arange(len(_FLAG_ROWS))])
+
+    def image(p):
+        if p.real < 3.0:
+            pair = (np.exp(-0.08 * p) / p, 1.0)
+        else:
+            pair = _FLAG_ROWS[int(p.real) - 3][:2]
+        return pair[0] if channels == 1 else np.array(pair)
+
     plan = SamplePlan(method="talbot", strategy=SG,
-                      grid=TimeGrid(np.array([1.0])), p=p,
-                      groups=(core.PlanGroup(params=alg.TalbotParams(1.0, 3),
-                                             node_indices=np.arange(3),
+                      grid=TimeGrid(np.array([1.0])), p=p.astype(complex),
+                      groups=(core.PlanGroup(params=alg.TalbotParams(1.0, p.size),
+                                             node_indices=np.arange(p.size),
                                              time_indices=np.array([0]),
                                              t_max=1.0),),
-                      raw_evaluations=3)
+                      raw_evaluations=p.size)
     samples = evaluate_image(plan, image)
-    assert abs(samples.values[0]) == pytest.approx(math.exp(16.0) / 200.0, rel=1e-12)
-    assert samples.sample_flags[0] == "large"
-    assert samples.sample_flags[1] == "overflow"
-    assert samples.sample_flags[2] == ""
+    assert samples.values.shape == (p.size,) + ((2,) if channels == 2 else ())
+    first = samples.values[0] if channels == 1 else samples.values[0, 0]
+    assert abs(first) == pytest.approx(math.exp(16.0) / 200.0, rel=1e-12)
+    expected = ["large", "overflow", ""] + [row[1 + channels] for row in _FLAG_ROWS]
+    assert list(samples.sample_flags) == expected
+    assert list(samples.sample_flags) == [_flag_row(v) for v in samples.values]
+
+
+def test_evaluate_rejects_image_changing_shape():
+    plan = plan_samples("talbot", make_time_grid(0.5, 2.0, 3), 8, SG)
+    calls = []
+
+    def image(p):
+        calls.append(p)
+        return np.array([1.0 / p, 2.0 / p]) if len(calls) == 1 else 1.0 / p
+
+    with pytest.raises(ImageEvaluationError, match="shape") as err:
+        evaluate_image(plan, image)
+    assert err.value.p == plan.p[1]
 
 
 def test_parallel_evaluation_bitwise_deterministic():

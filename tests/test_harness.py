@@ -260,6 +260,21 @@ def test_pairs_benchmark_rows():
     assert by_key[("stehfest", "1/p")]["evaluations"] == 8 * 16 - 1
 
 
+def test_pairs_benchmark_plans_once_per_method(monkeypatch):
+    calls = []
+
+    def counting_plan(method, *args, **kwargs):
+        calls.append(method)
+        return plan_samples(method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "plan_samples", counting_plan)
+    grid = make_time_grid(0.2, 2.0, 4)
+    pairs = oracles.pair_catalog()
+    rows = harness.run_pairs_benchmark(("talbot", "stehfest"), pairs, 12, grid)
+    assert len(rows) == 2 * len(pairs) > 2
+    assert calls == ["talbot", "stehfest"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
