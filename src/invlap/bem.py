@@ -2,8 +2,11 @@
 
 Solves the transformed diffusion equation on a meshed closed polygon
 (rectangles, for the shipped benchmark) with mixed Dirichlet/Neumann data,
-one dense complex solve per Laplace parameter.  Kernels are the modified
-Bessel functions K0 (single layer) and K1 (double layer and gradients).
+one dense solve per Laplace parameter.  Kernels are the modified Bessel
+functions K0 (single layer) and K1 (double layer and gradients).  A real
+wavenumber q, which every real Laplace parameter p gives, keeps the
+kernels, the matrices, the solve and the interior values in float64; a
+complex q makes all of them complex128.
 
 Conventions
 -----------
@@ -186,21 +189,26 @@ class HelmholtzSystem:
     """Dense collocation matrices for one wavenumber.
 
     h includes the c = 1/2 jump term on its diagonal; g is the single
-    layer.  Both are n x n complex for n elements.
+    layer.  Both are n x n for n elements: float64 for a real q, complex
+    otherwise.
     """
 
     h: np.ndarray
     g: np.ndarray
-    q: complex
+    q: float | complex
 
 
 @dataclass(frozen=True)
 class BoundarySolution:
-    """Element-wise potential and outward normal flux for one q."""
+    """Element-wise potential and outward normal flux for one q.
+
+    The arrays have the dtype of the system they were solved from, float64
+    for a real q.
+    """
 
     phi: np.ndarray
     flux: np.ndarray
-    q: complex
+    q: float | complex
 
 
 def _gauss_points(mesh: BoundaryMesh, split: int):
@@ -286,7 +294,9 @@ def _boundary_quadrature(mesh: BoundaryMesh) -> _BoundaryQuadrature:
 def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     """Collocation matrices H (double layer + 1/2 jump) and G (single layer).
 
-    Requires Re(q) > 0 so the kernel decays.  Off-diagonal entries use
+    Requires Re(q) > 0 so the kernel decays.  A q whose imaginary part is
+    zero, of either sign, is taken as the real number Re(q): the kernels
+    and both matrices are then float64.  Off-diagonal entries use
     Gauss-Legendre quadrature with near-field subdivision; the singular
     diagonal of G subtracts and integrates the log singularity in closed
     form, and the flat-element diagonal of H is exactly the 1/2 jump term.
@@ -296,6 +306,8 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     q = complex(q)
     if q.real <= 0:
         raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p/alpha)")
+    if q.imag == 0:
+        q = q.real
     quad = mesh._boundary_quadrature
     k0, k1 = k01_values(q * quad.r)
     g_off = np.add.reduceat(k0[quad.index] * quad.g_weight, quad.starts)
@@ -306,8 +318,8 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
         raise FloatingPointError(f"non-finite kernel integrals at element pairs {pairs}")
 
     n = mesh.n_elements
-    gmat = np.empty((n, n), dtype=complex)
-    hmat = np.empty((n, n), dtype=complex)
+    gmat = np.empty((n, n), dtype=g_off.dtype)
+    hmat = np.empty((n, n), dtype=g_off.dtype)
     gmat[quad.rows, quad.cols] = g_off
     hmat[quad.rows, quad.cols] = h_off
     idx = np.arange(n)
@@ -331,8 +343,8 @@ def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh) -> BoundarySolut
     if system.h.shape != (n, n):
         raise ValueError("system was assembled for a different mesh")
     dir_mask = np.array([k == DIRICHLET for k in mesh.bc_kind])
-    phi = np.zeros(n, dtype=complex)
-    flux = np.zeros(n, dtype=complex)
+    phi = np.zeros(n, dtype=system.g.dtype)
+    flux = np.zeros(n, dtype=system.g.dtype)
     phi[dir_mask] = mesh.bc_value[dir_mask]
     flux[~dir_mask] = mesh.bc_value[~dir_mask]
 
@@ -402,9 +414,10 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
 
     Uses the representation u(xi) = int G flux - int u dG/dn with c = 1;
     the gradient differentiates both kernels analytically (K1 terms).
-    Returns (phi, grad, flags); points outside or within half an element
-    length of the boundary are flagged rather than rejected.  The
-    quadrature geometry and flags of the last point are kept on the mesh.
+    Returns (phi, grad, flags), float64 for a real q and real boundary
+    data; points outside or within half an element length of the boundary
+    are flagged rather than rejected.  The quadrature geometry and flags
+    of the last point are kept on the mesh.
     """
     pt = np.asarray(point, dtype=float)
     key = pt.tobytes()

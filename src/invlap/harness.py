@@ -114,7 +114,8 @@ class BemImage:
 
     The spatial transfer, potential and x-flux at the observation point
     for the mesh's boundary values, depends on (mesh, observation, alpha,
-    p) only.  One boundary element solve per distinct p yields it, and a
+    p) only.  One boundary element solve per distinct p yields it (in
+    float64 when p is real, see :func:`bem.assemble`), and a
     process-wide memo keeps it by the exact bits of p for every image on
     the same key, whatever its time behavior.  Each call multiplies the
     transfer by the behavior's image fbar_t(p).  ``calls`` counts image

@@ -226,6 +226,10 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     oscillatory response to discontinuous data.  The observation point is
     sampled by linear interpolation in x and t; the flux -d(phi)/dx uses
     centered differences.
+
+    ``times`` must be 1-D, finite and strictly increasing.  The behavior's
+    time function is called once, on the array of every time the march
+    needs boundary data at, so it must accept an array.
     """
     t_out = times.times if isinstance(times, TimeGrid) else np.asarray(times, dtype=float)
     if not 0.0 <= x_obs <= BENCH_LENGTH:
@@ -234,6 +238,10 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
         raise ValueError("nx must be >= 16")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if (t_out.ndim != 1 or t_out.size == 0 or not np.all(np.isfinite(t_out))
+            or np.any(np.diff(t_out) <= 0)):
+        raise ValueError("times must be a non-empty 1-D array of finite, "
+                         "strictly increasing values")
     if dt > t_out[0]:
         raise ValueError("dt exceeds the first output time")
 
@@ -243,79 +251,98 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     # LAPACK's tridiagonal routines pass NaN and inf through unchecked
     if not math.isfinite(mu):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-
-    def bc(tv: float):
-        f = float(behavior.time_function(tv))
-        if not math.isfinite(f):
-            raise ValueError(f"boundary value of {behavior.name!r} is not finite at t = {tv!r}")
-        return -BENCH_AMPLITUDE * f, BENCH_AMPLITUDE * f
+    c = 0.5 * mu
 
     # Crank-Nicolson and the backward-Euler half-step share the same
     # implicit operator I - (dt/2) alpha D2, factorized once
-    off = np.full(nx - 2, -0.5 * mu)
+    off = np.full(nx - 2, -c)
     *lu, info = scipy.linalg.lapack.dgttrf(off, np.full(nx - 1, 1.0 + mu), off)
     if info != 0:
         raise np.linalg.LinAlgError(f"Crank-Nicolson operator is singular (dgttrf info {info})")
 
-    def implicit_solve(rhs):
-        x, info = scipy.linalg.lapack.dgttrs(*lu, rhs)
+    # step k marches from t_grid[k] to t_grid[k + 1]; a step that starts
+    # at or just before a jump takes the two half-steps instead
+    n_steps = int(math.ceil(t_out[-1] / dt - 1e-12))
+    t_grid = np.arange(n_steps + 1) * dt
+    t_now, t_next = t_grid[:-1], t_grid[1:]
+    eps = 0.25 * dt
+    restart = np.zeros(n_steps, dtype=bool)
+    for rt in (0.0, behavior.tau) if behavior.tau > 0 else (0.0,):
+        restart |= (np.abs(t_now - rt) < eps) | ((t_now < rt) & (rt < t_next - eps))
+    restarts = np.flatnonzero(restart)
+
+    # boundary data: at every step end, then at both half-step ends of
+    # every restart
+    t_bc = np.concatenate([t_next, t_now[restarts] + 0.5 * dt, t_now[restarts] + dt])
+    f = np.broadcast_to(np.asarray(behavior.time_function(t_bc), dtype=float), t_bc.shape)
+    bad = ~np.isfinite(f)
+    if bad.any():
+        raise ValueError(f"boundary value of {behavior.name!r} is not finite "
+                         f"at t = {float(t_bc[bad].min())!r}")
+    # the potential at x = L; x = 0 carries its negative, and since
+    # negation is exact, c (-e) = -(c e) and r + c (-e) = r - c e
+    edge = BENCH_AMPLITUDE * f
+    half_steps = {k: (n_steps + j, n_steps + restarts.size + j)
+                  for j, k in enumerate(restarts.tolist())}
+
+    # output time j is sampled after the first step ending at or past it,
+    # or after the last step, which rounding may end just short of it
+    emit = np.minimum(np.searchsorted(t_next + 1e-12, t_out), n_steps - 1).tolist()
+    i_obs = min(int(x_obs / h), nx - 1)
+    w_obs = (x_obs - x[i_obs]) / h
+
+    def slope(u_arr, i):
+        if i == 0:
+            return (u_arr[1] - u_arr[0]) / h
+        if i == nx:
+            return (u_arr[-1] - u_arr[-2]) / h
+        return (u_arr[i + 1] - u_arr[i - 1]) / (2 * h)
+
+    def sample(u_arr):
+        pot = (1 - w_obs) * u_arr[i_obs] + w_obs * u_arr[i_obs + 1]
+        return pot, -((1 - w_obs) * slope(u_arr, i_obs) + w_obs * slope(u_arr, i_obs + 1))
+
+    def solve_in_place(interior):
+        _, info = scipy.linalg.lapack.dgttrs(*lu, interior, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"Crank-Nicolson solve failed (dgttrs info {info})")
-        return x
 
-    u = np.zeros(nx + 1)
-    restart_times = [0.0]
-    if behavior.tau > 0:
-        restart_times.append(behavior.tau)
-
-    t_now = 0.0
+    # the state before and after a step live in two buffers that swap roles
+    buffers = [np.zeros(nx + 1), np.zeros(nx + 1)]
+    views = [(b, b[1:-1], b[2:], b[:-2]) for b in buffers]
+    work = np.empty(nx - 1)
     out_pot = np.empty(t_out.size)
     out_flux = np.empty(t_out.size)
-    prev_t, prev_u = t_now, u.copy()
-
-    def sample(u_arr, xq):
-        i = min(int(xq / h), nx - 1)
-        w = (xq - x[i]) / h
-        pot = (1 - w) * u_arr[i] + w * u_arr[i + 1]
-        du = np.empty(nx + 1)
-        du[1:-1] = (u_arr[2:] - u_arr[:-2]) / (2 * h)
-        du[0] = (u_arr[1] - u_arr[0]) / h
-        du[-1] = (u_arr[-1] - u_arr[-2]) / h
-        return pot, -((1 - w) * du[i] + w * du[i + 1])
-
     out_idx = 0
-    n_steps = int(math.ceil(t_out[-1] / dt - 1e-12))
-    eps = 0.25 * dt
-    for step in range(1, n_steps + 1):
-        t_next = step * dt
-        just_restarted = any(abs(t_now - rt) < eps or (t_now < rt < t_next - eps)
-                             for rt in restart_times)
-        lo_next, hi_next = bc(t_next)
-        if just_restarted:
+    for k in range(n_steps):
+        u, u_in, u_right, u_left = views[k % 2]
+        v, v_in = views[1 - k % 2][:2]
+        if k in half_steps:
             # two backward-Euler half-steps damp the step-response ringing
-            for frac in (0.5, 1.0):
-                tm = t_now + frac * dt
-                lo, hi = bc(tm)
-                rhs = u[1:-1].copy()
-                rhs[0] += 0.5 * mu * lo
-                rhs[-1] += 0.5 * mu * hi
-                u[1:-1] = implicit_solve(rhs)
-                u[0], u[-1] = lo, hi
+            v_in[:] = u_in
+            for m in half_steps[k]:
+                e = edge[m]
+                v_in[0] -= c * e
+                v_in[-1] += c * e
+                solve_in_place(v_in)
+                v[0], v[-1] = -e, e
         else:
-            rhs = u[1:-1] + 0.5 * mu * (u[2:] - 2 * u[1:-1] + u[:-2])
-            rhs[0] += 0.5 * mu * lo_next
-            rhs[-1] += 0.5 * mu * hi_next
-            u[1:-1] = implicit_solve(rhs)
-            u[0], u[-1] = lo_next, hi_next
-        prev_t, t_now = t_now, t_next
-        while out_idx < t_out.size and t_out[out_idx] <= t_now + 1e-12:
-            tq = t_out[out_idx]
-            w = np.clip((tq - prev_t) / dt, 0.0, 1.0)
-            p0, f0 = sample(prev_u, x_obs)
-            p1, f1 = sample(u, x_obs)
+            np.multiply(u_in, 2, out=work)
+            np.subtract(u_right, work, out=work)
+            np.add(work, u_left, out=work)
+            np.multiply(work, c, out=work)
+            np.add(u_in, work, out=v_in)
+            e = edge[k]
+            v_in[0] -= c * e
+            v_in[-1] += c * e
+            solve_in_place(v_in)
+            v[0], v[-1] = -e, e
+        while out_idx < t_out.size and emit[out_idx] == k:
+            w = min(max((t_out[out_idx] - t_now[k]) / dt, 0.0), 1.0)
+            p0, f0 = sample(u)
+            p1, f1 = sample(v)
             out_pot[out_idx] = (1 - w) * p0 + w * p1
             out_flux[out_idx] = (1 - w) * f0 + w * f1
             out_idx += 1
-        prev_u = u.copy()
 
     return FdResult(times=t_out, potential=out_pot, flux=out_flux, nx=nx, dt=dt)

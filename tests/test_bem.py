@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_bem
-from invlap import bem, specfun
+from invlap import bem, harness, specfun
+from invlap.core import make_time_grid, plan_samples
 from invlap.oracles import benchmark_laplace_1d
+from reference_bessel import mp_k01
 
 OBS = (1.0 / 3.0, 1.0)
 
@@ -166,6 +168,76 @@ def test_nonfinite_near_field_kernel_raises(monkeypatch):
     monkeypatch.setattr(bem, "k01_values", k01_nan)
     with pytest.raises(FloatingPointError):
         bem.assemble(mesh, q)
+
+
+def _experiment_a_real_q():
+    """q = sqrt(p / alpha) of experiment A's Stehfest and Schapery plans."""
+    config = harness.ExperimentConfig("A").resolved()
+    grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")
+    p = np.concatenate([plan_samples(m, grid, config.terms, config.strategy).p
+                        for m in ("stehfest", "schapery")])
+    assert np.all(p.imag == 0)
+    return np.sqrt(np.unique(p.real) / config.alpha)
+
+
+def _complex_kernels(z):
+    return specfun.k01_values(np.asarray(z, dtype=complex))
+
+
+def test_real_kernels_match_complex_path_and_oracle(mesh8):
+    # the real K0/K1 at the q r of experiment A's real-axis plans, with r
+    # the assembly distances and the interior distances at its point
+    q = _experiment_a_real_q()
+    interior = bem._interior_quadrature(mesh8, np.array(OBS))
+    r = mesh8._boundary_quadrature.r
+    r = np.concatenate([r[::16], r[-1:], interior.r[::4]])
+    z = np.outer(q, r).ravel()
+    k0, k1 = specfun.k01_values(z)
+    assert k0.dtype == k1.dtype == np.float64
+    c0, c1 = _complex_kernels(z)
+    assert np.max(np.abs(k0 - c0) / np.abs(c0)) < 1e-14
+    assert np.max(np.abs(k1 - c1) / np.abs(c1)) < 1e-14
+    for x in np.quantile(z, np.linspace(0.0, 1.0, 30), method="nearest"):
+        r0, r1 = mp_k01(float(x))
+        a0, a1 = specfun.k01_values(x)
+        assert abs(a0 - r0) <= 2e-15 * abs(r0), f"K0 off at x={x}"
+        assert abs(a1 - r1) <= 2e-15 * abs(r1), f"K1 off at x={x}"
+
+
+@pytest.mark.parametrize("density", [2, 8])
+def test_real_q_system_matches_complex_path(density, monkeypatch):
+    # float64 end to end at real q, and within rounding of the same
+    # solve run on complex kernels and of the per-call reference
+    mesh = bem.benchmark_rectangle_mesh(density)
+    q_all = _experiment_a_real_q()
+    for q in np.quantile(q_all, np.linspace(0.0, 1.0, 5), method="nearest"):
+        system = bem.assemble(mesh, complex(q))
+        solution = bem.solve_boundary(system, mesh)
+        phi, grad, _ = bem.eval_interior(solution, mesh, OBS)
+        with monkeypatch.context() as m:
+            m.setattr(bem, "k01_values", _complex_kernels)
+            ref = bem.assemble(mesh, complex(q))
+            ref_solution = bem.solve_boundary(ref, mesh)
+            ref_phi, ref_grad, _ = bem.eval_interior(ref_solution, mesh, OBS)
+        assert ref.g.dtype == np.complex128
+        for a in (system.g, system.h, solution.phi, solution.flux, grad):
+            assert a.dtype == np.float64
+        assert isinstance(phi, np.float64)
+        assert _normwise(system.g, ref.g) < 1e-14
+        assert _normwise(system.h, ref.h) < 1e-14
+        per_call = reference_bem.assemble(mesh, complex(q))
+        assert _normwise(system.g, per_call.g) < 1e-14
+        assert _normwise(system.h, per_call.h) < 1e-14
+        assert _normwise(phi, ref_phi) < 1e-13
+        assert _normwise(grad, ref_grad) < 1e-13
+
+
+def test_signed_zero_imaginary_q_takes_real_path(mesh2):
+    a = bem.assemble(mesh2, 1.5)
+    for q in (complex(1.5, 0.0), complex(1.5, -0.0), np.sqrt(complex(2.25, -0.0))):
+        b = bem.assemble(mesh2, q)
+        assert b.g.dtype == np.float64 and b.q == 1.5
+        assert np.array_equal(a.g, b.g) and np.array_equal(a.h, b.h)
 
 
 def test_conjugate_symmetry_of_matrices(mesh4):

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_cn
 from invlap import oracles
+from invlap.core import make_time_grid
 from invlap.oracles import (BEHAVIORS, COSINE4T, DELAYED_STEP, HEAVISIDE,
                             benchmark_laplace_1d, benchmark_laplace_1d_flux,
                             benchmark_time_series_1d, crank_nicolson_1d,
@@ -190,6 +194,76 @@ def test_fd_rejects_non_finite_data():
         crank_nicolson_1d(1.0, np.array([0.05]), late_nan, nx=32)
     with pytest.raises(ValueError, match="alpha"):
         crank_nicolson_1d(1.0, np.array([0.05]), HEAVISIDE, nx=32, alpha=np.inf)
+
+
+def _step_at(tau):
+    """Unit step switched on after t = tau, with no midpoint value."""
+    return oracles.TimeBehavior(
+        f"step-after-{tau}", lambda p: np.exp(-tau * p) / p,
+        lambda t: np.where(np.asarray(t) > tau, 1.0, 0.0), tau=tau)
+
+
+#: The three boundary behaviors, dead times between steps of dt = 1e-3
+#: (restarting in the step they fall in, and in the next one), and a time
+#: function that returns a scalar for any input.
+MARCH_BEHAVIORS = (HEAVISIDE, COSINE4T, DELAYED_STEP, _step_at(0.0805), _step_at(0.0809),
+                   oracles.TimeBehavior("constant", HEAVISIDE.image, lambda t: 1.0))
+
+
+def _assert_same_march(x_obs, times, behavior, **kwargs):
+    got = crank_nicolson_1d(x_obs, times, behavior, **kwargs)
+    want = reference_cn.crank_nicolson_1d(x_obs, times, behavior, **kwargs)
+    assert got.potential.tobytes() == want.potential.tobytes()
+    assert got.flux.tobytes() == want.flux.tobytes()
+    assert np.array_equal(got.times, want.times)
+
+
+@pytest.mark.parametrize("behavior", MARCH_BEHAVIORS, ids=lambda b: b.name)
+def test_fd_matches_previous_march_bit_for_bit(behavior):
+    # a log grid like the harness's, and output times on exact steps
+    # (80 dt is the delay of DELAYED_STEP)
+    _assert_same_march(1.0 / 3.0, make_time_grid(0.01, 2.0, 15, "logarithmic"),
+                       behavior, nx=300, dt=1e-3)
+    dt = 1e-3
+    on_steps = np.array([1, 80, 81, 82, 250]) * dt
+    _assert_same_march(1.0, on_steps, behavior, nx=64, dt=dt)
+    _assert_same_march(1.0, on_steps + 1e-13, behavior, nx=64, dt=dt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(32, 300), st.sampled_from([1e-3, 2e-3, 5e-3]),
+       st.sampled_from(MARCH_BEHAVIORS),
+       st.one_of(st.sampled_from([0.0, 3.0]), st.floats(0.0, 3.0)),
+       st.lists(st.tuples(st.integers(1, 300), st.sampled_from([0.0, 0.25, 0.5, 0.999])),
+                min_size=1, max_size=6))
+def test_fd_matches_previous_march_random_cases(nx, dt, behavior, x_obs, steps):
+    times = np.unique([(k + frac) * dt for k, frac in steps])
+    _assert_same_march(x_obs, times, behavior, nx=nx, dt=dt)
+
+
+@pytest.mark.parametrize("bad", [(0.0105, 1.0), (0.0802, 0.0808)], ids=["step-end", "half-step"])
+def test_fd_non_finite_error_names_first_bad_time(bad):
+    # NaN from the step ending at 0.011 on, or only at the half-step time
+    # 0.0805 of the restart after a dead time of 0.0805
+    lo, hi = bad
+    behavior = oracles.TimeBehavior(
+        "nan-window", HEAVISIDE.image,
+        lambda t: np.where((np.asarray(t) > lo) & (np.asarray(t) < hi), np.nan, 1.0),
+        tau=0.0805)
+    with pytest.raises(ValueError, match="not finite") as got:
+        crank_nicolson_1d(1.0, np.array([0.1]), behavior, nx=32)
+    with pytest.raises(ValueError, match="not finite") as want:
+        reference_cn.crank_nicolson_1d(1.0, np.array([0.1]), behavior, nx=32)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("times", [[0.5, 0.1], [0.1, 0.1], [[0.1, 0.2]], [],
+                                   [0.1, np.nan], [0.1, np.inf]],
+                         ids=["unsorted", "repeated", "2-D", "empty", "nan", "inf"])
+def test_fd_rejects_bad_output_times(times):
+    # unsorted times used to leave output slots unwritten (potential 6.9e-310)
+    with pytest.raises(ValueError, match="times must be"):
+        crank_nicolson_1d(1.0, np.array(times, dtype=float), HEAVISIDE, nx=32)
 
 
 def test_behavior_registry():

@@ -112,6 +112,37 @@ def test_negative_real_axis_takes_upper_side_of_cut():
     assert np.all(np.abs(k1 - r1) <= 1e-12 * abs(r1))
 
 
+def test_negative_real_float_takes_principal_branch():
+    # Cephes k0/k1 give NaN for x < 0, so a real negative argument goes to
+    # the complex path and lands on the same principal value as -3 + 0j
+    k0, k1 = k01_values(np.array([-3.0, 2.0]))
+    assert k0.dtype == np.complex128
+    r0 = complex(mp.besselk(0, mp.mpc(-3, 0)))
+    r1 = complex(mp.besselk(1, mp.mpc(-3, 0)))
+    assert abs(k0[0] - r0) <= 1e-12 * abs(r0)
+    assert abs(k1[0] - r1) <= 1e-12 * abs(r1)
+    c0, c1 = k01_values([-3 + 0j, 2 + 0j])
+    assert np.array_equal(k0, c0) and np.array_equal(k1, c1)
+
+
+def test_real_argument_dtype_dispatch():
+    # positive finite reals stay real; anything else keeps the complex path
+    for z in (1.0, [0.5, 30.0], np.array([2.0], dtype=np.float32), 3):
+        k0, k1 = k01_values(z)
+        assert k0.dtype == k1.dtype == np.float64
+    for z in ([1.0, np.inf], [1.0, np.nan], [-0.5], [1.0 + 0j]):
+        k0, k1 = k01_values(z)
+        assert k0.dtype == k1.dtype == np.complex128
+    with pytest.raises(SingularBesselArgument):
+        k01_values(np.array([1.0, -0.0]))
+    # real and complex paths agree on the positive axis
+    x = np.geomspace(1e-6, 500.0, 200)
+    k0, k1 = k01_values(x)
+    c0, c1 = k01_values(x.astype(complex))
+    assert np.all(np.abs(k0 - c0) <= 1e-14 * np.abs(c0))
+    assert np.all(np.abs(k1 - c1) <= 1e-14 * np.abs(c1))
+
+
 def test_left_half_plane_overflow_flagged():
     # past the representable range the values are non-finite, which
     # invlap.core flags as an overflowed sample
