@@ -54,6 +54,17 @@ class SingularFitError(RuntimeError):
     """Raised when an exponential-fit collocation matrix cannot be solved."""
 
 
+def _flagged_nan(shape: tuple, flag: str):
+    """(NaN of the given channel shape, (flag,)) for a time that cannot invert."""
+    return (np.full(shape, np.nan) if shape else math.nan), (flag,)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Freeze an array that a cache hands out to every caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
@@ -207,14 +218,15 @@ def _stehfest_weights_exact(n: int) -> tuple:
     return tuple(weights)
 
 
+@lru_cache(maxsize=32)
 def stehfest_weights(n: int, allow_large: bool = False) -> np.ndarray:
-    """Gaver-Stehfest weights V_1..V_N for even N.
+    """Gaver-Stehfest weights V_1..V_N for even N, as a read-only array.
 
     The weights grow rapidly and alternate in sign; they satisfy
     sum V_k = 0 and sum V_k / k = 1 exactly.
     """
     StehfestParams(n_terms=n, allow_large=allow_large)  # validates
-    return np.array([float(v) for v in _stehfest_weights_exact(n)])
+    return _read_only(np.array([float(v) for v in _stehfest_weights_exact(n)]))
 
 
 def stehfest_nodes(t: float, params: StehfestParams) -> np.ndarray:
@@ -258,12 +270,21 @@ class SchaperyFit:
     condition: float
 
 
+@lru_cache(maxsize=256)
+def _collocation(nodes: tuple):
+    """Read-only P_ij = 1/(p_i + p_j) and its 2-norm condition number."""
+    p = np.asarray(nodes, dtype=float)
+    mat = 1.0 / (p[:, None] + p[None, :])
+    return _read_only(mat), float(np.linalg.cond(mat))
+
+
 def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
     """Solve the symmetric collocation system P a = fbar(p_j) - f_s/p_j.
 
-    P_ij = 1/(p_i + p_j) depends only on the nodes.  The system is dense
-    and can be very ill conditioned for long geometric ladders; the
-    2-norm condition estimate is recorded on the result.
+    P_ij = 1/(p_i + p_j) depends only on the nodes, so it is built once
+    per node ladder.  The system is dense and can be very ill conditioned
+    for long geometric ladders; the 2-norm condition estimate is recorded
+    on the result.
     """
     p = np.asarray(params.nodes, dtype=float)
     vals = _require_real(samples, "schapery_fit")
@@ -274,9 +295,8 @@ def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
         f_s = p[0] * vals[0]
     else:
         f_s = np.asarray(params.f_s, dtype=float)
-    mat = 1.0 / (p[:, None] + p[None, :])
+    mat, cond = _collocation(params.nodes)
     rhs = vals - np.multiply.outer(1.0 / p, f_s) if vals.ndim > 1 else vals - f_s / p
-    cond = float(np.linalg.cond(mat))
     try:
         with warnings.catch_warnings():
             # conditioning is reported through the returned fit; long
@@ -345,21 +365,20 @@ def weeks_coefficients(samples, params: WeeksParams) -> np.ndarray:
 def weeks_eval(a, params: WeeksParams, t: float):
     """e^{(kappa - b/2) t} sum a_n L_n(b t) via Clenshaw; flags overflow."""
     exponent = (params.kappa - params.b / 2.0) * t
-    flags = ()
     if exponent > _EXP_LIMIT:
-        return np.inf * np.ones(np.shape(a)[1:]) if np.ndim(a) > 1 else math.inf, (
-            FLAG_EXP_OVERFLOW,)
-    value = math.exp(exponent) * laguerre_sum(a, params.b * t)
-    return value, flags
+        return _flagged_nan(np.shape(a)[1:], FLAG_EXP_OVERFLOW)
+    return math.exp(exponent) * laguerre_sum(a, params.b * t), ()
 
 
 # ---------------------------------------------------------------------------
 # fixed Talbot
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def _talbot_nodes(r: float, n: int):
-    """theta_k = k pi / N, cot theta_k and p(theta_k) = r theta_k (cot theta_k + i)
-    for k = 1..N-1.
+    """Read-only nodes p(theta_k) = r theta_k (cot theta_k + i) and weights
+    1 + i (theta_k + (theta_k cot theta_k - 1) cot theta_k), k = 1..N-1,
+    with theta_k = k pi / N.
 
     cot is reflected about pi/2 to avoid cancellation near pi.
     """
@@ -370,7 +389,8 @@ def _talbot_nodes(r: float, n: int):
     cot[lower] = 1.0 / np.tan(theta[lower])
     # cot(theta) = -cot(pi - theta); pi - theta_k is computed exactly from k
     cot[~lower] = -1.0 / np.tan((n - k[~lower]) * np.pi / n)
-    return theta, cot, r * theta * (cot + 1j)
+    zeta = theta + (theta * cot - 1.0) * cot
+    return _read_only(r * theta * (cot + 1j)), _read_only(1.0 + 1j * zeta)
 
 
 def talbot_contour(r: float, n: int) -> np.ndarray:
@@ -382,7 +402,7 @@ def talbot_contour(r: float, n: int) -> np.ndarray:
         raise ValueError("contour scale r must be positive")
     p = np.empty(n, dtype=complex)
     p[0] = r
-    p[1:] = _talbot_nodes(r, n)[2]
+    p[1:] = _talbot_nodes(r, n)[0]
     return p
 
 
@@ -400,16 +420,11 @@ def talbot_invert(samples, t: float, params: TalbotParams):
         raise ValueError(f"expected {n} samples, got {vals.shape[0]}")
     r = params.r
     if r * t > _EXP_LIMIT:
-        shape = vals.shape[1:]
-        bad = np.full(shape, np.nan) if shape else math.nan
-        return bad, (FLAG_EXP_OVERFLOW,)
+        return _flagged_nan(vals.shape[1:], FLAG_EXP_OVERFLOW)
     if not np.all(np.isfinite(vals)):
-        shape = vals.shape[1:]
-        bad = np.full(shape, np.nan) if shape else math.nan
-        return bad, (FLAG_NONFINITE_SAMPLES,)
-    theta, cot, p = _talbot_nodes(r, n)
-    zeta = theta + (theta * cot - 1.0) * cot
-    w = (1.0 + 1j * zeta)[(...,) + (None,) * (vals.ndim - 1)]
+        return _flagged_nan(vals.shape[1:], FLAG_NONFINITE_SAMPLES)
+    p, w = _talbot_nodes(r, n)
+    w = w[(...,) + (None,) * (vals.ndim - 1)]
     ep = np.exp(t * p)[(...,) + (None,) * (vals.ndim - 1)]
     terms = ep * vals[1:] * w
     head = 0.5 * math.exp(r * t) * vals[0]
@@ -432,34 +447,28 @@ def dehoog_nodes(params: DeHoogParams) -> np.ndarray:
     return params.gamma0 + 1j * k * np.pi / params.big_t
 
 
-def _qd_coefficients(a: np.ndarray):
+def _qd_coefficients(a: np.ndarray) -> np.ndarray:
     """Continued-fraction coefficients d_0..d_2M from the power series a_k.
 
-    Quotient-difference rhombus rules; returns None when the table breaks
-    down (zero divisions on degenerate series).
+    a has shape (2M+1, k), one series per column; so has the result.  The
+    quotient-difference rhombus rules build each table column as one
+    array step over all rows and channels.  A column whose table breaks
+    down (zero divisions on degenerate series) holds non-finite entries.
     """
     m = (a.shape[0] - 1) // 2
+    d = np.empty(a.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = np.zeros((2 * m + 1, m + 1), dtype=complex)
-        e = np.zeros((2 * m + 2, m + 1), dtype=complex)
-        c = a.astype(complex).copy()
+        c = a.astype(complex)
         c[0] *= 0.5
-        q[0, 1] = c[1] / c[0]
-        for i in range(1, 2 * m):
-            q[i, 1] = c[i + 1] / c[i]
-        for j in range(1, m + 1):
-            for i in range(0, 2 * (m - j) + 1):
-                e[i, j] = q[i + 1, j] - q[i, j] + e[i + 1, j - 1]
-            if j < m:
-                for i in range(0, 2 * (m - j)):
-                    q[i, j + 1] = q[i + 1, j] * e[i + 1, j] / e[i, j]
-        d = np.empty(2 * m + 1, dtype=complex)
         d[0] = c[0]
+        q = c[1:] / c[:-1]           # q_1, rows 0..2M-1
+        e = np.zeros_like(c)         # e_0
         for j in range(1, m + 1):
-            d[2 * j - 1] = -q[0, j]
-            d[2 * j] = -e[0, j]
-    if not np.all(np.isfinite(d)):
-        return None
+            # e_j rows 0..2(M-j), then q_{j+1} rows 0..2(M-j)-1
+            e = q[1:] - q[:-1] + e[1:q.shape[0]]
+            d[2 * j - 1] = -q[0]
+            d[2 * j] = -e[0]
+            q = q[1:-1] * e[1:] / e[:-1]
     return d
 
 
@@ -481,7 +490,11 @@ def _dehoog_eval(d: np.ndarray, z: complex) -> complex:
 
 
 def _dehoog_direct(a: np.ndarray, t: float, params: DeHoogParams):
-    """Unaccelerated trapezoid sum (the fallback path)."""
+    """Unaccelerated trapezoid sum (the fallback path).
+
+    For gamma0 t up to the exp limit; :meth:`DeHoogTable.evaluate` flags
+    larger ones before reaching here.
+    """
     k = np.arange(a.shape[0])
     phase = np.exp(1j * k * np.pi * t / params.big_t)
     w = np.ones(a.shape[0])
@@ -506,13 +519,16 @@ class DeHoogTable:
         self.params = params
         self.samples = vals
         self.scalar = vals.ndim == 1
-        cols = vals.reshape(vals.shape[0], -1)
-        self.tables = [_qd_coefficients(cols[:, j]) for j in range(cols.shape[1])]
+        d = _qd_coefficients(vals.reshape(vals.shape[0], -1))
+        self.tables = [col if np.all(np.isfinite(col)) else None for col in d.T]
 
     def evaluate(self, t: float):
         """(value, flags) at t; a quotient-difference breakdown falls back
-        to the direct trapezoid sum with a diagnostic flag."""
+        to the direct trapezoid sum with a diagnostic flag, and a t whose
+        exp(gamma0 t) overflows gives NaN with an exp-overflow flag."""
         params = self.params
+        if params.gamma0 * t > _EXP_LIMIT:
+            return _flagged_nan(self.samples.shape[1:], FLAG_EXP_OVERFLOW)
         z = np.exp(1j * np.pi * t / params.big_t)
         pref = math.exp(params.gamma0 * t) / params.big_t
         cols = self.samples.reshape(self.samples.shape[0], -1)

@@ -393,6 +393,20 @@ def test_dispatch_matches_algorithms(method):
             assert covered.all()
 
 
+def test_cached_inverter_pieces_are_read_only():
+    # every caller shares these arrays, so none may write to them
+    params = alg.SchaperyParams.geometric(8, 0.1, 1.0)
+    cached = (*alg._talbot_nodes(1.5, 12), alg.stehfest_weights(12),
+              alg.stehfest_weights(20, allow_large=True),
+              alg._collocation(params.nodes)[0])
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert alg._talbot_nodes(1.5, 12)[0] is cached[0]
+    assert alg.stehfest_weights(12) is cached[2]
+
+
 def test_invert_one_over_p_everywhere():
     grid = make_time_grid(0.1, 2.0, 6)
     plan = plan_samples("dehoog", grid, 41, SG)

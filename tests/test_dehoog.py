@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import reference_dehoog
 
-from invlap.algorithms import (FLAG_QD_FALLBACK, DeHoogParams, DeHoogTable,
-                               _dehoog_direct, dehoog_nodes)
+from invlap import algorithms as alg
+from invlap import oracles
+from invlap.algorithms import (FLAG_EXP_OVERFLOW, FLAG_QD_FALLBACK,
+                               DeHoogParams, DeHoogTable, _dehoog_direct,
+                               dehoog_nodes)
+from invlap.core import (SamplingStrategy, TimeGrid, evaluate_image,
+                         invert_all, make_time_grid, plan_samples)
 
 
 def _samples(image, params):
@@ -96,3 +102,73 @@ def test_vector_channels():
     assert value.shape == (2,)
     assert value[0] == pytest.approx(1.0, abs=1e-7)
     assert value[1] == pytest.approx(math.exp(-1.0), abs=1e-7)
+
+
+def test_exp_overflow_gives_flagged_nan_through_invert_all():
+    # gamma0 t passes the exp limit at the last time only; that time is a
+    # flagged NaN and the sweep goes on
+    grid = make_time_grid(0.5, 2.0, 3)
+    plan = plan_samples("dehoog", grid, 15, SamplingStrategy.SHARED_GLOBAL, sigma=400.0)
+    assert plan.groups[0].params.gamma0 * grid.t_max > alg._EXP_LIMIT
+    result = invert_all("dehoog", evaluate_image(plan, lambda p: 1.0 / p), grid)
+    assert math.isnan(result.values[-1])
+    assert result.flags[-1] == (FLAG_EXP_OVERFLOW,)
+    assert all(FLAG_EXP_OVERFLOW not in f for f in result.flags[:-1])
+
+    params = plan.groups[0].params
+    samples = np.column_stack([plan.p, plan.p])
+    value, flags = DeHoogTable(samples, params).evaluate(grid.t_max)
+    assert value.shape == (2,) and np.all(np.isnan(value))
+    assert flags == (FLAG_EXP_OVERFLOW,)
+
+
+#: The two grids of the perfbench pairs-dense workload at unit scale.
+PAIRS_DENSE_GRIDS = (make_time_grid(0.0125, 9.0, 16, "logarithmic"),
+                     TimeGrid(0.11 * np.arange(1, 17), "linear"))
+
+
+@pytest.mark.parametrize("grid", PAIRS_DENSE_GRIDS, ids=("log", "linear"))
+@pytest.mark.parametrize("strategy", (SamplingStrategy.PER_TIME_OPTIMAL,
+                                      SamplingStrategy.SHARED_PER_LOG_CYCLE),
+                         ids=lambda s: s.value)
+def test_array_table_matches_scalar_reference(grid, strategy, monkeypatch):
+    # the array table rounds differently from the scalar one, and the qd
+    # table amplifies rounding, so the two agree closely, not bit for bit;
+    # an error against the closed form must stay within 1% of the scalar
+    # table's, unless both are rounding noise (per-time plans of the
+    # smooth pairs err by about 1e-13, which one rounding moves by half)
+    plan = plan_samples("dehoog", grid, 41, strategy)
+    for pair in oracles.pair_catalog():
+        samples = evaluate_image(plan, pair.image)
+        new = invert_all("dehoog", samples, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(alg, "_qd_coefficients", reference_dehoog.qd_columns)
+            ref = invert_all("dehoog", samples, grid)
+        exact = np.array([float(pair.time_function(t)) for t in grid.times])
+        assert new.flags == ref.flags, pair.name
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(new.values - ref.values)) <= 1e-6 * scale, pair.name
+        err_new = np.max(np.abs(new.values - exact))
+        err_ref = np.max(np.abs(ref.values - exact))
+        noise = 1e-10 * scale
+        assert (max(err_new, err_ref) <= noise
+                or abs(err_new - err_ref) <= 0.01 * err_ref), (pair.name, err_new, err_ref)
+
+
+def test_only_the_broken_column_falls_back(monkeypatch):
+    params = DeHoogParams.rule_of_thumb(31, t_max=2.0)
+    p = dehoog_nodes(params)
+    samples = np.column_stack([1.0 / p, np.zeros_like(p)])
+    fallbacks = []
+
+    def direct(a, t, params):
+        fallbacks.append(a.copy())
+        return _dehoog_direct(a, t, params)
+
+    table = DeHoogTable(samples, params)
+    monkeypatch.setattr(alg, "_dehoog_direct", direct)
+    value, flags = table.evaluate(1.0)
+    assert flags == (FLAG_QD_FALLBACK,)
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], samples[:, 1])
+    assert value[1] == 0.0
+    assert value[0] == pytest.approx(1.0, abs=1e-7)
