@@ -108,8 +108,10 @@ class SchaperyParams:
         p = np.asarray(self.nodes, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("Schapery nodes must be a nonempty 1-D sequence")
-        if np.any(p <= 0):
-            raise ValueError("Schapery nodes must be strictly positive")
+        if not np.all((p > 0) & (p < math.inf)):
+            raise ValueError("Schapery nodes must be finite and strictly positive")
+        if self.f_s is not None and not math.isfinite(self.f_s):
+            raise ValueError(f"Schapery f_s must be finite, got {self.f_s!r}")
         if np.any(np.diff(p) <= 0):
             raise ValueError("Schapery nodes must be strictly increasing")
         object.__setattr__(self, "nodes", tuple(float(v) for v in p))
@@ -136,8 +138,10 @@ class WeeksParams:
     m_half: int
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("Weeks scale b must be positive")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"Weeks scale b must be positive and finite, got {self.b!r}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"Weeks shift kappa must be finite, got {self.kappa!r}")
         if 2 * self.m_half < self.n_coeffs + 1:
             raise ValueError("midpoint rule needs 2M >= N + 1")
 
@@ -159,8 +163,9 @@ class TalbotParams:
     n_nodes: int
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("Talbot contour scale r must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(f"Talbot contour scale r must be positive and finite, "
+                             f"got {self.r!r}")
         if self.n_nodes < 2:
             raise ValueError("Talbot needs at least 2 nodes")
 
@@ -179,8 +184,10 @@ class DeHoogParams:
     m_half: int
 
     def __post_init__(self):
-        if self.big_t <= 0:
-            raise ValueError("scaling period T must be positive")
+        if not 0.0 < self.big_t < math.inf:
+            raise ValueError(f"scaling period T must be positive and finite, got {self.big_t!r}")
+        if not math.isfinite(self.gamma0):
+            raise ValueError(f"abscissa gamma0 must be finite, got {self.gamma0!r}")
         if self.m_half < 1:
             raise ValueError("need M >= 1 (2M+1 >= 3 terms)")
 

@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pairs", action="store_true",
                         help="run the analytic-pair accuracy table instead of an experiment")
     parser.add_argument("--methods", help="comma-separated method list")
-    parser.add_argument("--terms", type=int, help="approximation terms per method")
+    parser.add_argument("--terms", type=int,
+                        help="approximation terms per method (default: the experiment's, "
+                             "or each method's harness.PAIR_TERMS order with --pairs)")
     parser.add_argument("--times", type=int, help="number of output times")
     parser.add_argument("--t-range", dest="t_range", help="time range as low:high")
     parser.add_argument("--mesh-density", dest="mesh_density", type=int,
@@ -98,7 +100,7 @@ def main(argv=None) -> int:
             grid = make_time_grid(t_lo, t_hi, n_times, "logarithmic")
             rows = harness.run_pairs_benchmark(
                 methods or METHODS, oracles.pair_catalog(),
-                terms or 41, grid)
+                terms or None, grid)
             path = out_dir / "pairs.csv"
             with open(path, "w") as fh:
                 harness.write_pairs_csv(rows, fh)

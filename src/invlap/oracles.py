@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import TimeGrid
 
@@ -216,16 +215,35 @@ class FdResult:
     dt: float
 
 
+#: Steps per block and blocks per chunk of the modal march: one matmul
+#: folds a chunk of blocks into per-block sums, and one weighted sum folds
+#: those into the modes, so the Python loop runs once per
+#: _CN_BLOCK * _CN_CHUNK steps and no per-step state is kept.
+_CN_BLOCK = 32
+_CN_CHUNK = 32
+
+
 def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
                       nx: int = 300, dt: float = 1e-3,
                       alpha: float = 1.0) -> FdResult:
     """Second-order time march of the 1D benchmark diffusion problem.
 
-    Crank-Nicolson with two backward-Euler half-steps after each boundary
-    jump (start, and the delay time if any) to damp the scheme's
-    oscillatory response to discontinuous data.  The observation point is
-    sampled by linear interpolation in x and t; the flux -d(phi)/dx uses
-    centered differences.
+    Crank-Nicolson on nx cells with two backward-Euler half-steps after
+    each boundary jump (start, and the delay time if any) to damp the
+    scheme's oscillatory response to discontinuous data.  The observation
+    point is sampled by linear interpolation in x and t; the flux
+    -d(phi)/dx uses centered differences, one-sided at the rod ends.
+
+    The implicit operator I + c T (T the Dirichlet second difference,
+    c = alpha dt / 2 h^2) is diagonal in the sine modes sin(j i pi / nx),
+    with eigenvalues 4 sin^2(j pi / 2 nx).  The rod ends carry -e and +e,
+    which force only the even modes, and the march starts from rest, so
+    each even mode follows a scalar recurrence and the odd modes stay
+    zero.  Runs of steps between restarts advance in blocks through a
+    table of powers of each mode's amplification factor, and only the
+    four nodes the sample reads are formed, only at the steps an output
+    time needs.  This is the scheme of a tridiagonal solve per step,
+    summed in another order: the two agree to rounding.
 
     ``times`` must be 1-D, finite and strictly increasing.  The behavior's
     time function is called once, on the array of every time the march
@@ -246,19 +264,11 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
         raise ValueError("dt exceeds the first output time")
 
     h = BENCH_LENGTH / nx
-    x = np.linspace(0.0, BENCH_LENGTH, nx + 1)
     mu = alpha * dt / (h * h)
-    # LAPACK's tridiagonal routines pass NaN and inf through unchecked
+    # a non-finite c would turn every mode into NaN without an error
     if not math.isfinite(mu):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     c = 0.5 * mu
-
-    # Crank-Nicolson and the backward-Euler half-step share the same
-    # implicit operator I - (dt/2) alpha D2, factorized once
-    off = np.full(nx - 2, -c)
-    *lu, info = scipy.linalg.lapack.dgttrf(off, np.full(nx - 1, 1.0 + mu), off)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Crank-Nicolson operator is singular (dgttrf info {info})")
 
     # step k marches from t_grid[k] to t_grid[k + 1]; a step that starts
     # at or just before a jump takes the two half-steps instead
@@ -279,70 +289,87 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     if bad.any():
         raise ValueError(f"boundary value of {behavior.name!r} is not finite "
                          f"at t = {float(t_bc[bad].min())!r}")
-    # the potential at x = L; x = 0 carries its negative, and since
-    # negation is exact, c (-e) = -(c e) and r + c (-e) = r - c e
+    # the potential e at x = L; x = 0 carries -e
     edge = BENCH_AMPLITUDE * f
-    half_steps = {k: (n_steps + j, n_steps + restarts.size + j)
-                  for j, k in enumerate(restarts.tolist())}
+    half_steps = {k: (n_steps + i, n_steps + restarts.size + i)
+                  for i, k in enumerate(restarts.tolist())}
+    # e of the state after each step, and the boundary forcing
+    # e_before + e_after of each Crank-Nicolson step
+    state_edge = np.concatenate([[0.0], edge[:n_steps]])
+    state_edge[restarts + 1] = edge[n_steps + restarts.size:]
+    forcing = state_edge[:-1] + edge[:n_steps]
 
-    # output time j is sampled after the first step ending at or past it,
-    # or after the last step, which rounding may end just short of it
-    emit = np.minimum(np.searchsorted(t_next + 1e-12, t_out), n_steps - 1).tolist()
+    # the even modes; e projects onto mode j with -(4 / nx) sin(j pi / nx)
+    j = np.arange(2, nx, 2)
+    c_lam = c * (4.0 * np.sin(j * (0.5 * np.pi / nx)) ** 2)
+    implicit = 1.0 + c_lam
+    if np.any(implicit == 0):
+        raise np.linalg.LinAlgError("Crank-Nicolson operator is singular")
+    # a step is a <- gain a + drive (e_before + e_after), a half-step
+    # a <- a / implicit + drive e
+    gain = (1.0 - c_lam) / implicit
+    drive = -4.0 * c / nx * np.sin(np.minimum(j, nx - j) * (np.pi / nx)) / implicit
+    # powers[:, m] = gain^(B - 1 - m); chunk_powers[i] = gain^(B (C - 1 - i))
+    powers = gain[:, None] ** np.arange(_CN_BLOCK - 1, -1, -1)
+    block_gain = gain ** _CN_BLOCK
+    chunk_powers = block_gain ** np.arange(_CN_CHUNK - 1, -1, -1)[:, None]
+
+    def advance(a, y):
+        """The modes after one Crank-Nicolson step per forcing value in y."""
+        n_blocks, rem = divmod(y.size, _CN_BLOCK)
+        for start in range(0, n_blocks, _CN_CHUNK):
+            nb = min(_CN_CHUNK, n_blocks - start)
+            blocks = y[start * _CN_BLOCK:(start + nb) * _CN_BLOCK].reshape(nb, _CN_BLOCK)
+            weights = chunk_powers[_CN_CHUNK - nb:]
+            a = (weights[0] * block_gain * a
+                 + drive * np.einsum("ij,ij->j", weights, blocks @ powers.T))
+        if rem:
+            a = (powers[:, _CN_BLOCK - 1 - rem] * a
+                 + drive * (powers[:, _CN_BLOCK - rem:] @ y[-rem:]))
+        return a
+
+    # output time i is sampled between the states before and after the
+    # first step ending at or past it, or the last step, which rounding
+    # may end just short of it
+    emit = np.minimum(np.searchsorted(t_next + 1e-12, t_out), n_steps - 1)
+    needed = np.union1d(emit, emit + 1)
+    # the nodes the sample reads, clipped to the rod, as rows of sines plus
+    # the multiple of e they carry at the ends
     i_obs = min(int(x_obs / h), nx - 1)
-    w_obs = (x_obs - x[i_obs]) / h
+    w_obs = (x_obs - i_obs * h) / h
+    nodes = np.clip(np.arange(i_obs - 1, i_obs + 3), 0, nx)
+    end_sign = np.where(nodes == 0, -1.0, np.where(nodes == nx, 1.0, 0.0))
+    # sin(j i pi / nx) = sin(q pi / nx) with q = j i folded into
+    # [-nx/2, nx/2]: unreduced arguments reach nx pi and carry the rounding
+    # of pi / nx, which a one-sided flux at a rod end amplifies by 1 / h
+    q = (np.outer(nodes, j) + nx) % (2 * nx) - nx
+    q = np.where(q > nx / 2, nx - q, np.where(q < -nx / 2, -nx - q, q))
+    sines = np.sin(q * (np.pi / nx))
 
-    def slope(u_arr, i):
-        if i == 0:
-            return (u_arr[1] - u_arr[0]) / h
-        if i == nx:
-            return (u_arr[-1] - u_arr[-2]) / h
-        return (u_arr[i + 1] - u_arr[i - 1]) / (2 * h)
-
-    def sample(u_arr):
-        pot = (1 - w_obs) * u_arr[i_obs] + w_obs * u_arr[i_obs + 1]
-        return pot, -((1 - w_obs) * slope(u_arr, i_obs) + w_obs * slope(u_arr, i_obs + 1))
-
-    def solve_in_place(interior):
-        _, info = scipy.linalg.lapack.dgttrs(*lu, interior, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Crank-Nicolson solve failed (dgttrs info {info})")
-
-    # the state before and after a step live in two buffers that swap roles
-    buffers = [np.zeros(nx + 1), np.zeros(nx + 1)]
-    views = [(b, b[1:-1], b[2:], b[:-2]) for b in buffers]
-    work = np.empty(nx - 1)
-    out_pot = np.empty(t_out.size)
-    out_flux = np.empty(t_out.size)
-    out_idx = 0
-    for k in range(n_steps):
-        u, u_in, u_right, u_left = views[k % 2]
-        v, v_in = views[1 - k % 2][:2]
+    u = np.empty((needed.size, nodes.size))
+    row = {k: i for i, k in enumerate(needed.tolist())}
+    a = np.zeros(j.size)
+    k = 0
+    for stop in np.union1d(needed, restarts).tolist():
+        if stop > k:
+            a = advance(a, forcing[k:stop])
+            k = stop
+        if k in row:
+            u[row[k]] = sines @ a + end_sign * state_edge[k]
         if k in half_steps:
             # two backward-Euler half-steps damp the step-response ringing
-            v_in[:] = u_in
             for m in half_steps[k]:
-                e = edge[m]
-                v_in[0] -= c * e
-                v_in[-1] += c * e
-                solve_in_place(v_in)
-                v[0], v[-1] = -e, e
-        else:
-            np.multiply(u_in, 2, out=work)
-            np.subtract(u_right, work, out=work)
-            np.add(work, u_left, out=work)
-            np.multiply(work, c, out=work)
-            np.add(u_in, work, out=v_in)
-            e = edge[k]
-            v_in[0] -= c * e
-            v_in[-1] += c * e
-            solve_in_place(v_in)
-            v[0], v[-1] = -e, e
-        while out_idx < t_out.size and emit[out_idx] == k:
-            w = min(max((t_out[out_idx] - t_now[k]) / dt, 0.0), 1.0)
-            p0, f0 = sample(u)
-            p1, f1 = sample(v)
-            out_pot[out_idx] = (1 - w) * p0 + w * p1
-            out_flux[out_idx] = (1 - w) * f0 + w * f1
-            out_idx += 1
+                a = a / implicit + drive * edge[m]
+            k += 1
 
+    slope_lo = ((u[:, 2] - u[:, 1]) / h if i_obs == 0
+                else (u[:, 2] - u[:, 0]) / (2 * h))
+    slope_hi = ((u[:, 2] - u[:, 1]) / h if i_obs + 1 == nx
+                else (u[:, 3] - u[:, 1]) / (2 * h))
+    pot = (1 - w_obs) * u[:, 1] + w_obs * u[:, 2]
+    flux = -((1 - w_obs) * slope_lo + w_obs * slope_hi)
+    before, after = np.searchsorted(needed, emit), np.searchsorted(needed, emit + 1)
+    w = np.clip((t_out - t_now[emit]) / dt, 0.0, 1.0)
+    out_pot = (1 - w) * pot[before] + w * pot[after]
+    out_flux = (1 - w) * flux[before] + w * flux[after]
     return FdResult(times=t_out, potential=out_pot, flux=out_flux, nx=nx, dt=dt)

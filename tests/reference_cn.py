@@ -1,12 +1,12 @@
-"""The Crank-Nicolson march as it was before its step loop was rewritten.
+"""The Crank-Nicolson march as one tridiagonal solve per step.
 
 Test-suite-only oracle.  It evaluates the boundary data one step at a time
-inside the loop, solves each step into a fresh array and copies the state
-after every step.  ``invlap.oracles.crank_nicolson_1d`` evaluates all
-boundary data before the loop and solves in place into two alternating
-buffers; the arithmetic is the same, so the two must agree bit for bit on
-every input this one handles correctly (1-D, strictly increasing output
-times).
+inside the loop, solves each step with LAPACK's LU-factorized tridiagonal
+routines and keeps the whole nodal state.  ``invlap.oracles.crank_nicolson_1d``
+marches the same scheme as scalar recurrences over sine modes, summed in
+another order, so the two agree to rounding on every input this one
+handles correctly (1-D, strictly increasing output times); the bound is
+stated in ``tests/test_oracles.py``.
 """
 
 import math

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,21 @@ def test_public_names_resolve():
     assert len(set(invlap.__all__)) == len(invlap.__all__)
     for name in invlap.__all__:
         assert getattr(invlap, name) is not None, name
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs 0.8-0.9 s to import, paid again by every fresh
+    # process that imports invlap
+    import invlap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(invlap.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import invlap; "
+            "print(invlap.__file__); print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=120, check=True)
+    where, loaded = out.stdout.split()
+    assert os.path.samefile(where, invlap.__file__)
+    assert loaded == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +102,26 @@ def test_unknown_method_rejected():
     grid = make_time_grid(0.1, 10.0, 5)
     with pytest.raises(ValueError):
         plan_samples("piessens", grid, 8, SG)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alg.TalbotParams(r=math.nan, n_nodes=8),
+    lambda: alg.TalbotParams(r=math.inf, n_nodes=8),
+    lambda: alg.DeHoogParams(big_t=math.nan, gamma0=1.0, m_half=5),
+    lambda: alg.DeHoogParams(big_t=math.inf, gamma0=1.0, m_half=5),
+    lambda: alg.DeHoogParams(big_t=2.0, gamma0=math.nan, m_half=5),
+    lambda: alg.WeeksParams(kappa=math.nan, b=1.0, n_coeffs=3, m_half=4),
+    lambda: alg.WeeksParams(kappa=0.1, b=math.nan, n_coeffs=3, m_half=4),
+    lambda: alg.SchaperyParams(nodes=(1.0, math.nan, 3.0)),
+    lambda: alg.SchaperyParams(nodes=(1.0, math.inf)),
+    lambda: alg.SchaperyParams(nodes=(1.0, 3.0), f_s=math.nan),
+], ids=["talbot-r-nan", "talbot-r-inf", "dehoog-T-nan", "dehoog-T-inf", "dehoog-gamma0-nan",
+        "weeks-kappa-nan", "weeks-b-nan", "schapery-node-nan", "schapery-node-inf",
+        "schapery-fs-nan"])
+def test_params_reject_non_finite_values(make):
+    # `<= 0` is false for NaN, so these used to construct and plan NaN nodes
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_per_time_counts_before_dedup():

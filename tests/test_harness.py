@@ -260,6 +260,22 @@ def test_pairs_benchmark_rows():
     assert by_key[("stehfest", "1/p")]["evaluations"] == 8 * 16 - 1
 
 
+def test_pair_suite_default_orders_keep_stehfest_accurate(tmp_path):
+    # without --terms each method runs at its PAIR_TERMS order.  At the old
+    # common order of 41, Stehfest ran at N = 42 and every row read
+    # 1e9-1e11: float cancellation, not the method.  Its max on the cosine
+    # and the delayed step (4.9e-2) is the method's own limit
+    assert set(harness.PAIR_TERMS) == set(METHODS)
+    rc = cli.main(["--pairs", "--methods", "stehfest", "--t-range", "0.1:1",
+                   "--times", "15", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "pairs.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(oracles.pair_catalog())
+    for row in rows:
+        _, _, max_rel, mean_rel, _ = row.split(",")
+        assert float(mean_rel) < 1e-2 and float(max_rel) < 1e-1, row
+
+
 def test_pairs_benchmark_plans_once_per_method(monkeypatch):
     calls = []
 
@@ -327,6 +343,7 @@ def test_cli_error_paths(tmp_path):
     assert cli.main(["--out", str(tmp_path)]) == 2  # no experiment selected
     assert cli.main(["--experiment", "B", "--methods", "stehfest",
                      "--out", str(tmp_path)]) == 2
+    assert cli.main(["--pairs", "--methods", "piessens", "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
     assert cli.main(["--config", str(bad)]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,18 @@ def test_fd_rejects_non_finite_data():
         crank_nicolson_1d(1.0, np.array([0.05]), HEAVISIDE, nx=32, alpha=np.inf)
 
 
+def test_fd_keeps_no_per_step_state():
+    # 10,000 steps to t = 10: a march that kept every step's modes or nodes
+    # would hold 12 MB or more
+    tracemalloc.start()
+    try:
+        crank_nicolson_1d(1.0 / 3.0, make_time_grid(0.01, 10.0, 15, "logarithmic"), COSINE4T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
 def _step_at(tau):
     """Unit step switched on after t = tau, with no midpoint value."""
     return oracles.TimeBehavior(
@@ -211,10 +224,19 @@ MARCH_BEHAVIORS = (HEAVISIDE, COSINE4T, DELAYED_STEP, _step_at(0.0805), _step_at
 
 
 def _assert_same_march(x_obs, times, behavior, **kwargs):
+    # the march sums sine modes, the reference solves a tridiagonal system
+    # per step: the same scheme in another order, so each column agrees to
+    # 1e-12 of its largest value.  The rod ends carry +-2 f with |f| <= 1
+    # for every behavior here, and a sum of modes rounds relative to that
+    # state, not to a column that is tiny because diffusion has not reached
+    # x_obs yet (or is rounding noise, at x_obs = 1.5): such a column is
+    # held to 1e-12 of the boundary amplitude instead
     got = crank_nicolson_1d(x_obs, times, behavior, **kwargs)
     want = reference_cn.crank_nicolson_1d(x_obs, times, behavior, **kwargs)
-    assert got.potential.tobytes() == want.potential.tobytes()
-    assert got.flux.tobytes() == want.flux.tobytes()
+    for column in ("potential", "flux"):
+        g, w = getattr(got, column), getattr(want, column)
+        scale = max(np.max(np.abs(w)), oracles.BENCH_AMPLITUDE)
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale, (column, g, w)
     assert np.array_equal(got.times, want.times)
 
 
