@@ -6,7 +6,9 @@ one dense solve per Laplace parameter.  Kernels are the modified Bessel
 functions K0 (single layer) and K1 (double layer and gradients).  A real
 wavenumber q, which every real Laplace parameter p gives, keeps the
 kernels, the matrices, the solve and the interior values in float64; a
-complex q makes all of them complex128.
+complex q makes all of them complex128.  The collocation matrices and
+interior values take their layer integrals from one quadrature rule,
+whose geometry is built once per mesh and per interior point.
 
 Conventions
 -----------
@@ -26,9 +28,11 @@ import numpy as np
 from .specfun import EULER_GAMMA, k01_values
 
 GAUSS_ORDER = 8
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
-#: Element pairs closer than this multiple of the element length get a
-#: subdivided quadrature to control near-singular error.
+#: A target (collocation midpoint or interior point) closer to an element's
+#: midpoint than this multiple of the element length takes a subdivided
+#: quadrature on that element, to control near-singular error.
 NEAR_FIELD_FACTOR = 3.0
 NEAR_FIELD_SPLIT = 4
 
@@ -108,8 +112,8 @@ class BoundaryMesh:
         return bool(np.all(np.isfinite(pt))) and abs(_winding_number(self, pt)) > 1.5 * np.pi
 
     @functools.cached_property
-    def _boundary_quadrature(self) -> "_BoundaryQuadrature":
-        return _boundary_quadrature(self)
+    def _assembly_quadrature(self) -> "_LayerQuadrature":
+        return _layer_quadrature(self, self.midpoints, self.lengths)
 
     @functools.cached_property
     def _interior_quadratures(self) -> dict:
@@ -213,7 +217,7 @@ class BoundarySolution:
 
 def _gauss_points(mesh: BoundaryMesh, split: int):
     """Composite Gauss nodes and weights on every element, (n, split*g, 2)."""
-    u, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    u, w = _GAUSS_NODES, _GAUSS_WEIGHTS
     if split > 1:
         centers = (2.0 * np.arange(split) + 1.0) / split - 1.0
         u = (centers[:, None] + u[None, :] / split).ravel()
@@ -225,16 +229,18 @@ def _gauss_points(mesh: BoundaryMesh, split: int):
 
 
 @dataclass(frozen=True)
-class _BoundaryQuadrature:
-    """The q-independent part of :func:`assemble` for one mesh.
+class _LayerQuadrature:
+    """The q-independent part of the layer integrals from a set of targets.
 
-    Off-diagonal entry k of G and H, at (rows[k], cols[k]), sums the
-    quadrature points starts[k] up to starts[k + 1] of the flat point
-    arrays: the far rule, or the composite rule on pairs closer than
+    Pair k couples target rows[k] with element cols[k].  Its G and H
+    entries sum the quadrature points starts[k] up to starts[k + 1] of the
+    flat point arrays: the far rule, or the composite rule within
     NEAR_FIELD_FACTOR element lengths.  Point m lies at distance
-    r[index[m]] from the collocation point and carries the weight of K0 in
-    G and of q K1 in H.  The self integrals of G sample K0 at the distances
-    diag_s, found at r[diag_index].  r holds each distinct distance once.
+    r[index[m]] from its target, in the unit direction unit[m], and carries
+    the weight of K0 in G and of q K1 in H.  A target on an element's
+    midpoint is that element's collocation point: the pair is left to the
+    self integral, which samples K0 at the distances r[self_index[k]] on
+    half the element.  r holds each distinct distance once.
     """
 
     rows: np.ndarray
@@ -243,24 +249,30 @@ class _BoundaryQuadrature:
     index: np.ndarray
     g_weight: np.ndarray
     h_weight: np.ndarray
-    diag_s: np.ndarray
-    diag_index: np.ndarray
-    diag_weight: np.ndarray
+    unit: np.ndarray
+    self_index: np.ndarray
     r: np.ndarray
 
 
-def _boundary_quadrature(mesh: BoundaryMesh) -> _BoundaryQuadrature:
-    n = mesh.n_elements
-    mid = mesh.midpoints
-    dist = np.linalg.norm(mid[:, None, :] - mid[None, :, :], axis=-1)
-    scale = np.maximum(mesh.lengths[:, None], mesh.lengths[None, :])
-    off = ~np.eye(n, dtype=bool)
-    near = (dist < NEAR_FIELD_FACTOR * scale) & off
-    rows, cols, r, g_weight, h_weight, counts = [], [], [], [], [], []
-    for pairs, split in ((off & ~near, 1), (near, NEAR_FIELD_SPLIT)):
+def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
+                      target_lengths: np.ndarray) -> _LayerQuadrature:
+    """Quadrature of every (target, element) pair.
+
+    target_lengths are the lengths of the targets' own elements, 0 for a
+    point that is not a collocation point.  A pair takes the composite
+    rule when the target is closer to the element's midpoint than
+    NEAR_FIELD_FACTOR times the longer of the two lengths, else the far
+    rule.
+    """
+    dist = np.linalg.norm(targets[:, None, :] - mesh.midpoints[None, :, :], axis=-1)
+    scale = np.maximum(target_lengths[:, None], mesh.lengths[None, :])
+    near = dist < NEAR_FIELD_FACTOR * scale
+    own = dist == 0.0
+    rows, cols, r, g_weight, h_weight, unit, counts = [], [], [], [], [], [], []
+    for pairs, split in ((~near, 1), (near & ~own, NEAR_FIELD_SPLIT)):
         i, j = np.nonzero(pairs)
         pts, w = _gauss_points(mesh, split)
-        rvec = pts[j] - mid[i][:, None, :]
+        rvec = pts[j] - targets[i][:, None, :]
         rij = np.linalg.norm(rvec, axis=-1)
         costh = np.einsum("mgd,md->mg", rvec, mesh.normals[j]) / rij
         wl = (mesh.lengths[j][:, None] / 2.0) * w[None, :] / (2.0 * np.pi)
@@ -269,26 +281,39 @@ def _boundary_quadrature(mesh: BoundaryMesh) -> _BoundaryQuadrature:
         r.append(rij.ravel())
         g_weight.append(wl.ravel())
         h_weight.append(-(wl * costh).ravel())
+        unit.append((rvec / rij[..., None]).reshape(-1, 2))
         counts.append(np.full(i.size, w.size))
 
     # K0(qs) = R(qs) - ln(qs/2) - gamma with R smooth and R(0) = 0: the log
     # part of a self integral is integrated in closed form over the half
     # element, R by the Gauss rule on s in [0, L/2]
-    u, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-    half = mesh.lengths / 2.0
-    diag_s = 0.5 * half[:, None] * (u[None, :] + 1.0)
+    half = mesh.lengths[np.nonzero(own)[1]] / 2.0
+    self_s = 0.5 * half[:, None] * (_GAUSS_NODES[None, :] + 1.0)
 
-    r_all = np.concatenate(r + [diag_s.ravel()])
+    r_all = np.concatenate(r + [self_s.ravel()])
     r_distinct, inverse = np.unique(r_all, return_inverse=True)
     inverse = inverse.ravel()
-    n_off = r_all.size - diag_s.size
+    n_points = r_all.size - self_s.size
     counts = np.concatenate(counts)
-    return _BoundaryQuadrature(
+    return _LayerQuadrature(
         rows=np.concatenate(rows), cols=np.concatenate(cols),
-        starts=np.cumsum(counts) - counts, index=inverse[:n_off],
+        starts=np.cumsum(counts) - counts, index=inverse[:n_points],
         g_weight=np.concatenate(g_weight), h_weight=np.concatenate(h_weight),
-        diag_s=diag_s, diag_index=inverse[n_off:].reshape(diag_s.shape),
-        diag_weight=0.5 * half[:, None] * w[None, :] / np.pi, r=r_distinct)
+        unit=np.concatenate(unit), self_index=inverse[n_points:].reshape(self_s.shape),
+        r=r_distinct)
+
+
+def _layer_integrals(quad: _LayerQuadrature, q):
+    """K0 and K1 at each distinct q r, and the G and H entry of each pair."""
+    k0, k1 = k01_values(q * quad.r)
+    g = np.add.reduceat(k0[quad.index] * quad.g_weight, quad.starts)
+    h = q * np.add.reduceat(k1[quad.index] * quad.h_weight, quad.starts)
+    bad = ~(np.isfinite(g) & np.isfinite(h))
+    if bad.any():
+        pairs = list(zip(quad.rows[bad][:3].tolist(), quad.cols[bad][:3].tolist()))
+        raise FloatingPointError(
+            f"non-finite kernel integrals at (target, element) pairs {pairs}")
+    return k0, k1, g, h
 
 
 def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
@@ -308,14 +333,8 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
         raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p/alpha)")
     if q.imag == 0:
         q = q.real
-    quad = mesh._boundary_quadrature
-    k0, k1 = k01_values(q * quad.r)
-    g_off = np.add.reduceat(k0[quad.index] * quad.g_weight, quad.starts)
-    h_off = q * np.add.reduceat(k1[quad.index] * quad.h_weight, quad.starts)
-    bad = ~(np.isfinite(g_off) & np.isfinite(h_off))
-    if bad.any():
-        pairs = list(zip(quad.rows[bad][:3].tolist(), quad.cols[bad][:3].tolist()))
-        raise FloatingPointError(f"non-finite kernel integrals at element pairs {pairs}")
+    quad = mesh._assembly_quadrature
+    k0, _, g_off, h_off = _layer_integrals(quad, q)
 
     n = mesh.n_elements
     gmat = np.empty((n, n), dtype=g_off.dtype)
@@ -323,10 +342,11 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     gmat[quad.rows, quad.cols] = g_off
     hmat[quad.rows, quad.cols] = h_off
     idx = np.arange(n)
-    z = q * quad.diag_s
-    smooth = k0[quad.diag_index] + np.log(0.5 * z) + EULER_GAMMA
+    z = q * quad.r[quad.self_index]
+    smooth = k0[quad.self_index] + np.log(0.5 * z) + EULER_GAMMA
+    weight = 0.25 * mesh.lengths[:, None] * _GAUSS_WEIGHTS[None, :] / np.pi
     closed = mesh.lengths * (1.0 - EULER_GAMMA - np.log(q * mesh.lengths / 4.0)) / (2.0 * np.pi)
-    gmat[idx, idx] = (smooth * quad.diag_weight).sum(axis=1) + closed
+    gmat[idx, idx] = (smooth * weight).sum(axis=1) + closed
     hmat[idx, idx] = 0.5
     return HelmholtzSystem(h=hmat, g=gmat, q=q)
 
@@ -373,79 +393,49 @@ def _winding_number(mesh: BoundaryMesh, point: np.ndarray) -> float:
     return float(ang.sum())
 
 
-@dataclass(frozen=True)
-class _InteriorQuadrature:
-    """The q-independent part of :func:`eval_interior` at one point.
-
-    Composite-rule point g of element j lies at distance dist[j, g] =
-    r[index[j, g]] from the evaluation point, in the unit direction
-    unit[j, g], at cosine costh[j, g] to the element normal, with weight
-    weight[j, g].  r holds each distinct distance once.
-    """
-
-    r: np.ndarray
-    index: np.ndarray
-    dist: np.ndarray
-    unit: np.ndarray
-    costh: np.ndarray
-    weight: np.ndarray
-    flags: tuple
-
-
-def _interior_quadrature(mesh: BoundaryMesh, pt: np.ndarray) -> _InteriorQuadrature:
-    flags = []
-    if not mesh.contains(pt):
-        flags.append(FLAG_OUTSIDE_DOMAIN)
-    pts, w = _gauss_points(mesh, NEAR_FIELD_SPLIT)
-    rvec = pts - pt[None, None, :]
-    dist = np.linalg.norm(rvec, axis=-1)
-    if float(np.min(dist)) < 0.5 * float(np.max(mesh.lengths)):
-        flags.append(FLAG_NEAR_BOUNDARY)
-    r, index = np.unique(dist.ravel(), return_inverse=True)
-    return _InteriorQuadrature(
-        r=r, index=index.reshape(dist.shape), dist=dist,
-        unit=rvec / dist[..., None],
-        costh=np.einsum("jgd,jd->jg", rvec, mesh.normals) / dist,
-        weight=0.5 * mesh.lengths[:, None] * w[None, :], flags=tuple(flags))
-
-
 def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     """Potential and gradient at an interior point from the boundary data.
 
     Uses the representation u(xi) = int G flux - int u dG/dn with c = 1;
-    the gradient differentiates both kernels analytically (K1 terms).
-    Returns (phi, grad, flags), float64 for a real q and real boundary
-    data; points outside or within half an element length of the boundary
-    are flagged rather than rejected.  The quadrature geometry and flags
-    of the last point are kept on the mesh.
+    the gradient differentiates both kernels analytically (K1 terms).  The
+    layer integrals take the quadrature of :func:`assemble`: the composite
+    rule on elements whose midpoint lies within NEAR_FIELD_FACTOR element
+    lengths of the point, the far rule on the others.  Returns (phi, grad,
+    flags), float64 for a real q and real boundary data; points outside or
+    within half an element length of the boundary are flagged rather than
+    rejected.  The quadrature geometry and flags of the last point are kept
+    on the mesh.
     """
     pt = np.asarray(point, dtype=float)
     key = pt.tobytes()
     cached = mesh._interior_quadratures
-    quad = cached.get(key)
-    if quad is None:
-        quad = _interior_quadrature(mesh, pt)
+    entry = cached.get(key)
+    if entry is None:
+        quad = _layer_quadrature(mesh, pt[None, :], np.zeros(1))
+        flags = []
+        if not mesh.contains(pt):
+            flags.append(FLAG_OUTSIDE_DOMAIN)
+        # r[0] is the nearest quadrature point
+        if float(quad.r[0]) < 0.5 * float(np.max(mesh.lengths)):
+            flags.append(FLAG_NEAR_BOUNDARY)
+        entry = (quad, tuple(flags))
         cached.clear()
-        cached[key] = quad
+        cached[key] = entry
+    quad, flags = entry
     q = solution.q
-    k0, k1 = k01_values(q * quad.r)
+    k0, k1, g_row, h_row = _layer_integrals(quad, q)
     k0 = k0[quad.index]
     k1 = k1[quad.index]
-    r, e, costh, wl = quad.dist, quad.unit, quad.costh, quad.weight
-
-    g_row = (wl * k0).sum(axis=1) / (2.0 * np.pi)
-    h_row = (wl * (-(q / (2.0 * np.pi)) * k1 * costh)).sum(axis=1)
-    phi = g_row @ solution.flux - h_row @ solution.phi
+    k1_r = k1 / quad.r[quad.index]
+    flux = solution.flux[quad.cols]
+    phi_b = solution.phi[quad.cols]
+    phi = g_row @ flux - h_row @ phi_b
 
     # gradients of the kernels with respect to the evaluation point
-    grad_g_ker = (q / (2.0 * np.pi)) * k1[..., None] * e
-    u_un = e * costh[..., None]
-    grad_h_ker = -(q / (2.0 * np.pi)) * (
-        (q * k0 + 2.0 * k1 / r)[..., None] * u_un
-        - (k1 / r)[..., None] * mesh.normals[:, None, :]
-    )
-    grad_g_row = (wl[..., None] * grad_g_ker).sum(axis=1)
-    grad_h_row = (wl[..., None] * grad_h_ker).sum(axis=1)
-    grad = (grad_g_row.T @ solution.flux - grad_h_row.T @ solution.phi)
-    return phi, grad, quad.flags
-
+    grad_g = q * np.add.reduceat((k1 * quad.g_weight)[:, None] * quad.unit, quad.starts)
+    grad_h = q * (
+        np.add.reduceat(((q * k0 + 2.0 * k1_r) * quad.h_weight)[:, None] * quad.unit,
+                        quad.starts)
+        + np.add.reduceat(k1_r * quad.g_weight, quad.starts)[:, None] * mesh.normals[quad.cols])
+    grad = grad_g.T @ flux - grad_h.T @ phi_b
+    return phi, grad, flags

@@ -159,7 +159,6 @@ class TimeSeriesResult:
     times: np.ndarray
     values: np.ndarray
     flags: tuple
-    per_time_evaluations: tuple
     evaluations_measured: int
     plan: SamplePlan
 
@@ -409,7 +408,6 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
     n_t = times.size
     out_values = None
     out_flags: list = [()] * n_t
-    per_time_eval = [0] * n_t
 
     for group in plan.groups:
         vals = samples.values[group.node_indices]
@@ -421,11 +419,9 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
                 out_values = np.empty((n_t,) + np.shape(value))
             out_values[ti] = value
             out_flags[ti] = tuple(tflags)
-            per_time_eval[ti] = int(group.node_indices.size)
 
     return TimeSeriesResult(method=method, times=times, values=out_values,
                             flags=tuple(out_flags),
-                            per_time_evaluations=tuple(per_time_eval),
                             evaluations_measured=samples.evaluations_measured,
                             plan=plan)
 

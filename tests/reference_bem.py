@@ -2,10 +2,14 @@
 
 Test-suite-only reference.  It rebuilds the Gauss rule, every distance,
 cosine and near-field pair list on each call and evaluates K0/K1 at every
-quadrature point, with the far rule first computed for all pairs and then
-overwritten by the composite rule on near-field pairs.  ``invlap.bem``
-builds the same quadrature once per mesh and evaluates the kernels once
-per distinct distance, so the two must agree to rounding.  Rules and
+quadrature point, with the far rule first computed for all (target,
+element) pairs and then overwritten by the composite rule on near-field
+pairs, for the collocation matrices and for an interior point alike.
+``invlap.bem`` builds the same quadrature once per mesh and per point and
+evaluates the kernels once per distinct distance, so the two must agree
+to rounding.  ``eval_interior_composite`` takes the composite rule on
+every element: it is the accuracy oracle for the far rule at an interior
+point.  Rules and
 constants (GAUSS_ORDER, NEAR_FIELD_*) are read from ``invlap.bem``; the
 kernels come straight from ``invlap.specfun`` so that patching
 ``invlap.bem.k01_values`` does not reach this module.
@@ -100,34 +104,66 @@ def winding_number(mesh, point) -> float:
     return float(ang.sum())
 
 
-def eval_interior(solution, mesh, point):
-    """(phi, grad, flags) at a point from the boundary densities."""
-    pt = np.asarray(point, dtype=float)
-    q = solution.q
-    flags = []
-    if abs(winding_number(mesh, pt)) < np.pi:
-        flags.append(FLAG_OUTSIDE_DOMAIN)
-    pts, w = gauss_points(mesh, NEAR_FIELD_SPLIT)
+def interior_rows(mesh, pt, q, elements, split: int):
+    """(g, h, grad g, grad h) rows over `elements`, by the Gauss rule
+    composed of `split` pieces per element."""
+    pts, w = gauss_points(mesh, split)
+    pts = pts[elements]
+    normals = mesh.normals[elements]
     rvec = pts - pt[None, None, :]
     r = np.linalg.norm(rvec, axis=-1)
-    if float(np.min(r)) < 0.5 * float(np.max(mesh.lengths)):
-        flags.append(FLAG_NEAR_BOUNDARY)
     k0, k1 = k01_values(q * r)
-    costh = np.einsum("jgd,jd->jg", rvec, mesh.normals) / r
+    costh = np.einsum("jgd,jd->jg", rvec, normals) / r
 
-    wl = 0.5 * mesh.lengths[:, None] * w[None, :]
+    wl = 0.5 * mesh.lengths[elements][:, None] * w[None, :]
     g_row = (wl * k0).sum(axis=1) / (2.0 * np.pi)
     h_row = (wl * (-(q / (2.0 * np.pi)) * k1 * costh)).sum(axis=1)
-    phi = g_row @ solution.flux - h_row @ solution.phi
 
     e = rvec / r[..., None]
     grad_g_ker = (q / (2.0 * np.pi)) * k1[..., None] * e
     u_un = e * costh[..., None]
     grad_h_ker = -(q / (2.0 * np.pi)) * (
         (q * k0 + 2.0 * k1 / r)[..., None] * u_un
-        - (k1 / r)[..., None] * mesh.normals[:, None, :]
+        - (k1 / r)[..., None] * normals[:, None, :]
     )
     grad_g_row = (wl[..., None] * grad_g_ker).sum(axis=1)
     grad_h_row = (wl[..., None] * grad_h_ker).sum(axis=1)
+    return g_row, h_row, grad_g_row, grad_h_row
+
+
+def _interior(solution, mesh, pt, rows):
+    g_row, h_row, grad_g_row, grad_h_row = rows
+    flags = []
+    if abs(winding_number(mesh, pt)) < np.pi:
+        flags.append(FLAG_OUTSIDE_DOMAIN)
+    pts, _ = gauss_points(mesh, NEAR_FIELD_SPLIT)
+    if float(np.min(np.linalg.norm(pts - pt, axis=-1))) < 0.5 * float(np.max(mesh.lengths)):
+        flags.append(FLAG_NEAR_BOUNDARY)
+    phi = g_row @ solution.flux - h_row @ solution.phi
     grad = grad_g_row.T @ solution.flux - grad_h_row.T @ solution.phi
     return phi, grad, tuple(flags)
+
+
+def eval_interior(solution, mesh, point):
+    """(phi, grad, flags) at a point from the boundary densities, by the
+    rule of :func:`assemble`: the far rule on every element, overwritten by
+    the composite rule on elements whose midpoint lies within
+    NEAR_FIELD_FACTOR element lengths of the point."""
+    pt = np.asarray(point, dtype=float)
+    q = solution.q
+    n = mesh.n_elements
+    rows = interior_rows(mesh, pt, q, np.arange(n), 1)
+    dist = np.linalg.norm(mesh.midpoints - pt[None, :], axis=-1)
+    near = np.nonzero(dist < NEAR_FIELD_FACTOR * mesh.lengths)[0]
+    if near.size:
+        for row, composite in zip(rows, interior_rows(mesh, pt, q, near, NEAR_FIELD_SPLIT)):
+            row[near] = composite
+    return _interior(solution, mesh, pt, rows)
+
+
+def eval_interior_composite(solution, mesh, point):
+    """(phi, grad, flags) with the composite rule on every element: the
+    accuracy oracle for the shared near/far rule of :func:`eval_interior`."""
+    pt = np.asarray(point, dtype=float)
+    rows = interior_rows(mesh, pt, solution.q, np.arange(mesh.n_elements), NEAR_FIELD_SPLIT)
+    return _interior(solution, mesh, pt, rows)

@@ -128,6 +128,15 @@ def _normwise(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b))
 
 
+def _planned_p(experiment, **overrides):
+    """Every distinct p that an experiment's methods plan."""
+    config = harness.ExperimentConfig(experiment, **overrides).resolved()
+    grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")
+    p = np.concatenate([plan_samples(m, grid, config.terms, config.strategy).p
+                        for m in config.methods])
+    return np.unique(p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 4]), st.floats(-2.0, 1.6), st.floats(-1.5, 1.5))
 def test_matches_per_call_reference(density, log_abs_q, arg_q):
@@ -147,6 +156,42 @@ def test_matches_per_call_reference(density, log_abs_q, arg_q):
         assert _normwise(phi, ref_phi) < 1e-13
         assert _normwise(grad, ref_grad) < 1e-13
         assert flags == ref_flags
+
+
+@pytest.mark.parametrize("density, point", [(2, (0.6, 0.9)), (8, OBS)])
+def test_interior_far_rule_matches_composite_oracle(density, point):
+    # the far rule on elements beyond NEAR_FIELD_FACTOR lengths of the
+    # point, against the composite rule on every element, on the same
+    # boundary solution at every p that experiments A and B plan
+    mesh = bem.benchmark_rectangle_mesh(density)
+    p_all = np.concatenate([_planned_p("A", n_times=4),
+                            _planned_p("B", t_max=1.0, terms=15)])
+    worst = 0.0
+    for p in p_all:
+        solution = bem.solve_boundary(bem.assemble(mesh, np.sqrt(p)), mesh)
+        phi, grad, flags = bem.eval_interior(solution, mesh, point)
+        ref_phi, ref_grad, ref_flags = reference_bem.eval_interior_composite(
+            solution, mesh, point)
+        assert flags == ref_flags
+        worst = max(worst, _normwise(phi, ref_phi), _normwise(grad, ref_grad))
+    assert worst < 1e-9
+
+
+def test_per_call_paths_do_no_q_independent_work(monkeypatch):
+    # once the mesh's and the point's quadratures exist, a solve builds no
+    # Gauss rule and sorts no distances
+    mesh = bem.benchmark_rectangle_mesh(2)
+    qs = (1.5, np.sqrt(2.0 + 4.0j))
+    expected = [_solve_interior(mesh, q * q) for q in qs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("q-independent work in a per-call path")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    for q, (phi, grad, flags) in zip(qs, expected):
+        again = _solve_interior(mesh, q * q)
+        assert again[0] == phi and np.array_equal(again[1], grad) and again[2] == flags
 
 
 def test_nonfinite_near_field_kernel_raises(monkeypatch):
@@ -172,12 +217,9 @@ def test_nonfinite_near_field_kernel_raises(monkeypatch):
 
 def _experiment_a_real_q():
     """q = sqrt(p / alpha) of experiment A's Stehfest and Schapery plans."""
-    config = harness.ExperimentConfig("A").resolved()
-    grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")
-    p = np.concatenate([plan_samples(m, grid, config.terms, config.strategy).p
-                        for m in ("stehfest", "schapery")])
+    p = _planned_p("A", methods=("stehfest", "schapery"))
     assert np.all(p.imag == 0)
-    return np.sqrt(np.unique(p.real) / config.alpha)
+    return np.sqrt(p.real / harness.ExperimentConfig("A").alpha)
 
 
 def _complex_kernels(z):
@@ -188,9 +230,9 @@ def test_real_kernels_match_complex_path_and_oracle(mesh8):
     # the real K0/K1 at the q r of experiment A's real-axis plans, with r
     # the assembly distances and the interior distances at its point
     q = _experiment_a_real_q()
-    interior = bem._interior_quadrature(mesh8, np.array(OBS))
-    r = mesh8._boundary_quadrature.r
-    r = np.concatenate([r[::16], r[-1:], interior.r[::4]])
+    interior = bem._layer_quadrature(mesh8, np.array([OBS]), np.zeros(1))
+    r = mesh8._assembly_quadrature.r
+    r = np.concatenate([r[::16], r[-1:], interior.r])
     z = np.outer(q, r).ravel()
     k0, k1 = specfun.k01_values(z)
     assert k0.dtype == k1.dtype == np.float64
@@ -352,6 +394,21 @@ def test_near_boundary_and_outside_flags(mesh4):
     assert bem.FLAG_NEAR_BOUNDARY in flags
     phi, _, flags = _solve_interior(mesh4, 1.0, point=(4.0, 1.0))
     assert bem.FLAG_OUTSIDE_DOMAIN in flags
+
+
+def test_flags_match_per_call_reference(mesh4, rng):
+    # the near-boundary flag reads the nearest point of the shared rule;
+    # on equal elements that is the nearest composite-rule point, which
+    # the reference reads over every element
+    n = mesh4.n_elements
+    solution = bem.BoundarySolution(phi=np.ones(n), flux=np.ones(n), q=1.0)
+    points = np.column_stack([rng.uniform(-0.3, 3.3, 300), rng.uniform(-0.3, 2.3, 300)])
+    seen = set()
+    for point in points:
+        flags = bem.eval_interior(solution, mesh4, point)[2]
+        assert flags == reference_bem.eval_interior(solution, mesh4, point)[2]
+        seen.add(flags)
+    assert len(seen) == 4
 
 
 def test_contains_only_strictly_interior_points(mesh2):

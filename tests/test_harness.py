@@ -276,6 +276,18 @@ def test_pair_suite_default_orders_keep_stehfest_accurate(tmp_path):
         assert float(mean_rel) < 1e-2 and float(max_rel) < 1e-1, row
 
 
+def test_pair_suite_delayed_step_error_is_absolute_before_the_delay():
+    # the true inverse is 0 before the delay, where a relative error read
+    # 1.8e299-9.7e299 on the CLI's default grid; there the error is absolute
+    grid = make_time_grid(0.01, 10.0, 15, "logarithmic")
+    pairs = [p for p in oracles.pair_catalog() if p.tau > 0]
+    assert len(pairs) == 1 and grid.times[0] < pairs[0].tau
+    rows = harness.run_pairs_benchmark(METHODS, pairs, None, grid)
+    assert [r["method"] for r in rows] == list(METHODS)
+    for row in rows:
+        assert np.isfinite(row["max_rel_err"]) and row["max_rel_err"] < 2.0, row
+
+
 def test_pairs_benchmark_plans_once_per_method(monkeypatch):
     calls = []
 
