@@ -8,6 +8,8 @@ and relative difference over the numeric cells, and the number of rows
 that differ in any cell (numeric or not, a flag say).  Relative
 differences are taken against the OLD value; a value that changes from
 or to NaN, or away from zero, counts as an infinite relative change.
+A CSV file that only one directory holds is listed after the table, and
+makes the exit status 1.
 
 Usage: python scripts/csv_drift.py OLD_DIR NEW_DIR
 """
@@ -72,18 +74,21 @@ def main(argv: list) -> int:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
     old_dir, new_dir = Path(argv[1]), Path(argv[2])
-    names = sorted(p.name for p in old_dir.glob("*.csv") if (new_dir / p.name).exists())
-    if not names:
+    old_names, new_names = ({p.name for p in d.glob("*.csv")} for d in (old_dir, new_dir))
+    if not old_names & new_names:
         print(f"no CSV files common to {old_dir} and {new_dir}", file=sys.stderr)
         return 2
     print(f"{'file':18s} {'method':16s} {'max abs':>10s} {'max rel':>10s} "
           f"{'rows changed':>13s}")
-    for name in names:
+    for name in sorted(old_names & new_names):
         for method, (change, rel, changed, rows) in drift(old_dir / name,
                                                           new_dir / name).items():
             print(f"{name:18s} {method:16s} {change:10.2e} {rel:10.2e} "
                   f"{changed:6d} / {rows:<5d}")
-    return 0
+    for only, there in ((old_names - new_names, old_dir), (new_names - old_names, new_dir)):
+        for name in sorted(only):
+            print(f"{name:18s} only in {there}")
+    return 1 if old_names != new_names else 0
 
 
 if __name__ == "__main__":

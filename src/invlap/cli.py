@@ -15,6 +15,11 @@ from pathlib import Path
 from . import harness, oracles
 from .core import METHODS, make_time_grid
 
+#: Keys of a configuration file: the long options, with '_' for '-'.
+#: A flag takes 'true' or 'false'.
+_FLAGS = ("pairs", "gnuplot")
+_VALUES = ("experiment", "methods", "terms", "times", "t_range", "mesh_density", "out")
+
 
 def _parse_config_file(path: str) -> dict:
     values = {}
@@ -25,7 +30,15 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise harness.ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in _FLAGS:
+            if value not in ("true", "false"):
+                raise harness.ConfigError(
+                    f"{path}:{lineno}: {key} takes true or false, got {value!r}")
+            value = value == "true"
+        elif key not in _VALUES:
+            raise harness.ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -63,21 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_options(args) -> dict:
-    options: dict = {}
-    if args.config:
-        options.update(_parse_config_file(args.config))
-    cli = {
-        "experiment": args.experiment,
-        "pairs": args.pairs or None,
-        "methods": args.methods,
-        "terms": args.terms,
-        "times": args.times,
-        "t_range": args.t_range,
-        "mesh_density": args.mesh_density,
-        "out": args.out,
-        "gnuplot": args.gnuplot or None,
-    }
-    options.update({k: v for k, v in cli.items() if v is not None})
+    options = _parse_config_file(args.config) if args.config else {}
+    options.update({k: getattr(args, k) for k in _VALUES if getattr(args, k) is not None})
+    options.update({k: True for k in _FLAGS if getattr(args, k)})
     return options
 
 
@@ -87,37 +88,33 @@ def main(argv=None) -> int:
         options = _merged_options(args)
         out_dir = Path(options.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        methods = None
+        # the settings given; ExperimentConfig holds every default
+        settings = {}
         if options.get("methods"):
-            methods = tuple(m.strip() for m in str(options["methods"]).split(",") if m.strip())
-        t_lo, t_hi = 0.01, 10.0
+            settings["methods"] = tuple(
+                m.strip() for m in str(options["methods"]).split(",") if m.strip())
         if options.get("t_range"):
-            t_lo, t_hi = _parse_t_range(str(options["t_range"]))
-        n_times = int(options.get("times", 15))
-        terms = int(options.get("terms", 0))
+            settings["t_min"], settings["t_max"] = _parse_t_range(str(options["t_range"]))
+        for key, field in (("times", "n_times"), ("terms", "terms"),
+                           ("mesh_density", "n_per_unit")):
+            if key in options:
+                settings[field] = int(options[key])
+        config = harness.ExperimentConfig(
+            experiment=str(options.get("experiment", "")), **settings)
 
         if options.get("pairs"):
-            grid = make_time_grid(t_lo, t_hi, n_times, "logarithmic")
+            grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")
             rows = harness.run_pairs_benchmark(
-                methods or METHODS, oracles.pair_catalog(),
-                terms or None, grid)
+                config.methods or METHODS, oracles.pair_catalog(),
+                config.terms or None, grid)
             path = out_dir / "pairs.csv"
             with open(path, "w") as fh:
                 harness.write_pairs_csv(rows, fh)
             print(f"wrote {path}")
             return 0
 
-        if not options.get("experiment"):
+        if not config.experiment:
             raise harness.ConfigError("choose --experiment A|B|C|D or --pairs")
-        config = harness.ExperimentConfig(
-            experiment=str(options["experiment"]),
-            methods=methods or (),
-            terms=terms,
-            n_times=n_times,
-            t_min=t_lo,
-            t_max=t_hi,
-            n_per_unit=int(options.get("mesh_density", 8)),
-        )
         result = harness.run_experiment(config)
         exp_path = out_dir / f"experiment_{config.experiment}.csv"
         with open(exp_path, "w") as fh:

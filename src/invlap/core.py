@@ -25,14 +25,6 @@ from . import algorithms as alg
 #: same evaluation.  Chosen below quadrature sensitivity, above rounding.
 DEDUP_RTOL = 1e-12
 
-#: Sample magnitudes beyond these are flagged; 'large' warns that the
-#: downstream quadrature must cancel many digits, 'overflow' marks values
-#: a double-precision sum can no longer use meaningfully.
-SAMPLE_LARGE_MAGNITUDE = 1e4
-SAMPLE_OVERFLOW_MAGNITUDE = 1e20
-
-FLAG_SAMPLE_LARGE = "large"
-FLAG_SAMPLE_OVERFLOW = "overflow"
 FLAG_UNDEFINED_BEFORE_DELAY = "undefined-before-delay"
 
 
@@ -121,7 +113,6 @@ class PlanGroup:
     params: object
     node_indices: np.ndarray
     time_indices: np.ndarray
-    t_max: float
 
 
 @dataclass(frozen=True)
@@ -147,19 +138,16 @@ class SampleSet:
 
     plan: SamplePlan
     values: np.ndarray
-    sample_flags: tuple
-    evaluations_measured: int
 
 
 @dataclass
 class TimeSeriesResult:
-    """Inverted values plus per-time diagnostics and evaluation accounting."""
+    """Inverted values plus per-time diagnostics and the plan behind them."""
 
     method: str
     times: np.ndarray
     values: np.ndarray
     flags: tuple
-    evaluations_measured: int
     plan: SamplePlan
 
 
@@ -330,12 +318,12 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
         g_params = params if params is not None else spec.rule_of_thumb(
             terms, t_lo, t_hi, sigma)
         node_lists.append(spec.nodes(g_params, t_hi))
-        groups.append((g_params, part, t_hi))
+        groups.append((g_params, part))
 
     distinct, index_arrays = _dedup(node_lists)
     plan_groups = tuple(
-        PlanGroup(params=g[0], node_indices=idx, time_indices=g[1], t_max=g[2])
-        for g, idx in zip(groups, index_arrays)
+        PlanGroup(params=g_params, node_indices=idx, time_indices=part)
+        for (g_params, part), idx in zip(groups, index_arrays)
     )
     return SamplePlan(method=method, strategy=strategy, grid=grid, p=distinct,
                       groups=plan_groups,
@@ -351,9 +339,8 @@ def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> Sa
     thread pool over `workers` gives bit-identical output to the serial
     path.  An image whose value changes shape between calls raises
     ImageEvaluationError at the first p whose value differs in shape from
-    the first one.  A sample is flagged 'overflow' if any entry is
-    non-finite or reaches SAMPLE_OVERFLOW_MAGNITUDE, else 'large' from
-    SAMPLE_LARGE_MAGNITUDE; flagged values are kept, not dropped.
+    the first one.  Non-finite values are kept; :func:`invert_all` flags
+    the groups that read them.
     """
     if plan.p.size == 0:
         raise ValueError("plan is empty")
@@ -381,13 +368,7 @@ def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> Sa
                     f"value of shape {np.shape(v)}, but shape {shape} "
                     f"at p = {p_list[0]!r}")) from exc
         raise
-
-    rows = np.abs(values).reshape(values.shape[0], -1).max(axis=1)
-    level = np.where(rows < SAMPLE_OVERFLOW_MAGNITUDE, rows >= SAMPLE_LARGE_MAGNITUDE, 2)
-    names = ("", FLAG_SAMPLE_LARGE, FLAG_SAMPLE_OVERFLOW)
-    flags = tuple(names[k] for k in level.tolist())
-    return SampleSet(plan=plan, values=values, sample_flags=flags,
-                     evaluations_measured=len(raw))
+    return SampleSet(plan=plan, values=values)
 
 
 def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesResult:
@@ -421,9 +402,7 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
             out_flags[ti] = tuple(tflags)
 
     return TimeSeriesResult(method=method, times=times, values=out_values,
-                            flags=tuple(out_flags),
-                            evaluations_measured=samples.evaluations_measured,
-                            plan=plan)
+                            flags=tuple(out_flags), plan=plan)
 
 
 class CountingImage:

@@ -58,8 +58,6 @@ class ExperimentConfig:
     n_per_unit: int = 8
     alpha: float = 1.0
     workers: int = 2
-    fd_nx: int = 300
-    fd_dt: float = 1e-3
 
     def resolved(self) -> "ExperimentConfig":
         """Fill defaults from the experiment id and validate compatibility."""
@@ -189,6 +187,11 @@ class MethodRun:
     model_solves: int
 
 
+#: Flag of a reference-series row whose truncation bound exceeds
+#: oracles.SERIES_BOUND_TOL.
+FLAG_SERIES_TRUNCATED = "series-truncated"
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -196,12 +199,18 @@ class ExperimentResult:
     runs: dict
     reference_series: tuple | None
     reference_fd: tuple
+    #: per time, whether the series value is truncated (None without a series)
+    series_truncated: np.ndarray | None
     summary: list = field(default_factory=list)
 
     @property
     def reference(self) -> tuple:
-        """Preferred reference columns (series when available, else FD)."""
-        return self.reference_series if self.reference_series is not None else self.reference_fd
+        """Preferred reference columns: the series where it exists and is
+        not truncated, the FD march elsewhere."""
+        if self.reference_series is None:
+            return self.reference_fd
+        return tuple(np.where(self.series_truncated, fd, series)
+                     for series, fd in zip(self.reference_series, self.reference_fd))
 
 
 def _normalized_max_error(values: np.ndarray, reference: np.ndarray) -> float:
@@ -223,8 +232,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     process, so a p already solved at this point, by any method or
     experiment, costs no new model solve.  Reference columns come from the
     eigenfunction series (step-type behaviors) and the Crank-Nicolson
-    march.  An observation point not strictly inside the mesh is a
-    ConfigError.
+    march; the summary measures errors against the series, and against
+    the march at times where the series is truncated.  An observation
+    point not strictly inside the mesh is a ConfigError.
     """
     config = config.resolved()
     behavior = config.behavior
@@ -261,22 +271,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             flags=tuple(flags),
             evaluations_raw=plan.raw_evaluations,
             evaluations_planned=plan.total_evaluations,
-            evaluations_measured=result.evaluations_measured,
+            evaluations_measured=image.calls,
             model_solves=image.solves,
         )
 
-    if behavior.name == oracles.COSINE4T.name:
-        series = None
-    else:
+    series = truncated = None
+    if behavior.name != oracles.COSINE4T.name:
         sv = [oracles.benchmark_time_series_1d(x_obs, t, behavior) for t in grid.times]
         series = (np.array([s.potential for s in sv]),
                   np.array([s.flux for s in sv]))
-    fd = oracles.crank_nicolson_1d(x_obs, grid, behavior,
-                                   nx=config.fd_nx, dt=config.fd_dt,
-                                   alpha=config.alpha)
+        truncated = np.array([s.truncated for s in sv])
+    fd = oracles.crank_nicolson_1d(x_obs, grid, behavior, alpha=config.alpha)
     result = ExperimentResult(config=config, grid=grid, runs=runs,
                               reference_series=series,
-                              reference_fd=(fd.potential, fd.flux))
+                              reference_fd=(fd.potential, fd.flux),
+                              series_truncated=truncated)
     ref_pot, ref_flux = result.reference
     for method in config.methods:
         run = runs[method]
@@ -309,12 +318,14 @@ def write_experiment_csv(result: ExperimentResult, stream) -> None:
             flag = "+".join(run.flags[i]) if run.flags[i] else "ok"
             stream.write(f"{fmt(t)},{method},{fmt(run.potential[i])},"
                          f"{fmt(run.flux[i])},{flag}\n")
-    refs = [("reference-fd", result.reference_fd)]
+    no_flags = ("ok",) * len(result.grid)
+    refs = [("reference-fd", result.reference_fd, no_flags)]
     if result.reference_series is not None:
-        refs.insert(0, ("reference-series", result.reference_series))
-    for name, (pot, flux) in refs:
+        flags = [FLAG_SERIES_TRUNCATED if cut else "ok" for cut in result.series_truncated]
+        refs.insert(0, ("reference-series", result.reference_series, flags))
+    for name, (pot, flux), flags in refs:
         for i, t in enumerate(result.grid.times):
-            stream.write(f"{fmt(t)},{name},{fmt(pot[i])},{fmt(flux[i])},ok\n")
+            stream.write(f"{fmt(t)},{name},{fmt(pot[i])},{fmt(flux[i])},{flags[i]}\n")
 
 
 def write_summary_csv(summaries: list, stream) -> None:

@@ -211,8 +211,6 @@ class FdResult:
     times: np.ndarray
     potential: np.ndarray
     flux: np.ndarray
-    nx: int
-    dt: float
 
 
 #: Steps per block and blocks per chunk of the modal march: one matmul
@@ -372,4 +370,4 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     w = np.clip((t_out - t_now[emit]) / dt, 0.0, 1.0)
     out_pot = (1 - w) * pot[before] + w * pot[after]
     out_flux = (1 - w) * flux[before] + w * flux[after]
-    return FdResult(times=t_out, potential=out_pot, flux=out_flux, nx=nx, dt=dt)
+    return FdResult(times=t_out, potential=out_pot, flux=out_flux)

@@ -120,4 +120,4 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
             out_idx += 1
         prev_u = u.copy()
 
-    return FdResult(times=t_out, potential=out_pot, flux=out_flux, nx=nx, dt=dt)
+    return FdResult(times=t_out, potential=out_pot, flux=out_flux)

@@ -149,7 +149,8 @@ def test_per_log_cycle_grouping():
     assert len(plan.groups) == 3
     for group in plan.groups:
         # the group's rule-of-thumb scale comes from its own largest time
-        assert group.t_max == pytest.approx(float(grid.times[group.time_indices[-1]]))
+        t_last = float(grid.times[group.time_indices[-1]])
+        assert group.params == alg.TalbotParams.rule_of_thumb(8, t_last)
 
 
 def test_stehfest_overlap_dedup():
@@ -224,8 +225,7 @@ def test_dedup_sound_for_inversion():
     for g, nodes in zip(plan.groups, raw_nodes):
         groups.append(core.PlanGroup(params=g.params,
                                      node_indices=np.arange(offset, offset + nodes.size),
-                                     time_indices=g.time_indices,
-                                     t_max=g.t_max))
+                                     time_indices=g.time_indices))
         offset += nodes.size
     plan_raw = SamplePlan(method="stehfest", strategy=PTO, grid=grid,
                           p=p_raw, groups=tuple(groups),
@@ -265,7 +265,17 @@ def test_evaluate_simple_values():
     plan = plan_samples("stehfest", grid, 2, PTO)
     samples = evaluate_image(plan, lambda p: 1.0 / p)
     assert np.allclose(samples.values, 1.0 / plan.p)
-    assert samples.evaluations_measured == plan.total_evaluations
+    # a 2-channel image keeps its channels, and exp(-0.08 p) / p its value
+    # at p = -200, off every contour
+    p = np.array([-200.0, 1.0], dtype=complex)
+    plan = SamplePlan(method="talbot", strategy=SG, grid=grid, p=p,
+                      groups=(core.PlanGroup(params=alg.TalbotParams(1.0, p.size),
+                                             node_indices=np.arange(p.size),
+                                             time_indices=np.array([0])),),
+                      raw_evaluations=p.size)
+    samples = evaluate_image(plan, lambda p: np.array([np.exp(-0.08 * p) / p, 1.0]))
+    assert samples.values.shape == (2, 2)
+    assert abs(samples.values[0, 0]) == pytest.approx(math.exp(16.0) / 200.0, rel=1e-12)
 
 
 def test_evaluate_counts_distinct_only():
@@ -286,64 +296,6 @@ def test_evaluate_error_carries_p():
     with pytest.raises(ImageEvaluationError) as err:
         evaluate_image(plan, bad)
     assert err.value.p in plan.p
-
-
-def _flag_row(v) -> str:
-    """The flag rule applied to one sample on its own."""
-    v = np.atleast_1d(v)
-    mag = np.max(np.abs(v))
-    if not np.all(np.isfinite(v)) or mag >= core.SAMPLE_OVERFLOW_MAGNITUDE:
-        return core.FLAG_SAMPLE_OVERFLOW
-    if mag >= core.SAMPLE_LARGE_MAGNITUDE:
-        return core.FLAG_SAMPLE_LARGE
-    return ""
-
-
-#: (first channel, second channel, flag of the scalar image, of the 2-channel one)
-_FLAG_ROWS = (
-    (1e4, 1.0, "large", "large"),
-    (np.nextafter(1e4, 0.0), 1.0, "", ""),
-    (-1e4j, 1.0, "large", "large"),
-    (1e20, 1.0, "overflow", "overflow"),
-    (np.nextafter(1e20, 0.0), 1.0, "large", "large"),
-    (1e20j, 1.0, "overflow", "overflow"),
-    (1.0, 1e4, "", "large"),
-    (1.0, -1e20, "", "overflow"),
-    (complex(np.nan, 0.0), 1.0, "overflow", "overflow"),
-    (1.0, complex(0.0, np.nan), "", "overflow"),
-    (np.inf, 1.0, "overflow", "overflow"),
-    (-np.inf, 1.0, "overflow", "overflow"),
-    (1.0, complex(0.0, -np.inf), "", "overflow"),
-    (0.0, 0.0, "", ""),
-)
-
-
-@pytest.mark.parametrize("channels", [1, 2], ids=["scalar", "2-channel"])
-def test_evaluate_flags_large_and_overflow(channels):
-    # rows 0-2 are exp(-0.08 p) / p at p = -200, -750, 1; row 3 + k is _FLAG_ROWS[k]
-    p = np.concatenate([[-200.0, -750.0, 1.0], 3.0 + np.arange(len(_FLAG_ROWS))])
-
-    def image(p):
-        if p.real < 3.0:
-            pair = (np.exp(-0.08 * p) / p, 1.0)
-        else:
-            pair = _FLAG_ROWS[int(p.real) - 3][:2]
-        return pair[0] if channels == 1 else np.array(pair)
-
-    plan = SamplePlan(method="talbot", strategy=SG,
-                      grid=TimeGrid(np.array([1.0])), p=p.astype(complex),
-                      groups=(core.PlanGroup(params=alg.TalbotParams(1.0, p.size),
-                                             node_indices=np.arange(p.size),
-                                             time_indices=np.array([0]),
-                                             t_max=1.0),),
-                      raw_evaluations=p.size)
-    samples = evaluate_image(plan, image)
-    assert samples.values.shape == (p.size,) + ((2,) if channels == 2 else ())
-    first = samples.values[0] if channels == 1 else samples.values[0, 0]
-    assert abs(first) == pytest.approx(math.exp(16.0) / 200.0, rel=1e-12)
-    expected = ["large", "overflow", ""] + [row[1 + channels] for row in _FLAG_ROWS]
-    assert list(samples.sample_flags) == expected
-    assert list(samples.sample_flags) == [_flag_row(v) for v in samples.values]
 
 
 def test_evaluate_rejects_image_changing_shape():
@@ -484,9 +436,7 @@ def test_inversion_independent_of_evaluation_order():
     values = np.empty(plan.total_evaluations, dtype=complex)
     for i in order:
         values[i] = image(complex(plan.p[i]))
-    shuffled = core.SampleSet(plan=plan, values=values,
-                              sample_flags=samples.sample_flags,
-                              evaluations_measured=plan.total_evaluations)
+    shuffled = core.SampleSet(plan=plan, values=values)
     a = invert_all("weeks", samples, grid)
     b = invert_all("weeks", shuffled, grid)
     assert np.array_equal(a.values, b.values)

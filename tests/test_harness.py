@@ -10,7 +10,7 @@ from invlap import bem, cli, harness, oracles
 from invlap.core import (METHODS, PER_TIME_METHODS, SamplingStrategy,
                          evaluate_image, make_time_grid, plan_samples)
 
-TINY = dict(n_times=5, n_per_unit=2, terms=5, fd_nx=60, fd_dt=2e-3)
+TINY = dict(n_times=5, n_per_unit=2, terms=5)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_shared_experiments_solve_each_p_once():
     for experiment in "BCD":
         config = harness.ExperimentConfig(
             experiment, t_min=0.01, t_max=1.0, terms=15, n_per_unit=2,
-            observation=(0.6, 0.9), fd_nx=60, fd_dt=2e-3)
+            observation=(0.6, 0.9))
         runs += harness.run_experiment(config).runs.values()
     assert all(r.evaluations_measured == r.evaluations_planned for r in runs)
     assert sum(r.evaluations_measured for r in runs) == 180
@@ -185,6 +185,35 @@ def test_experiment_accounting_and_flags(tiny_a):
     assert set(tiny_a.runs) == set(METHODS)
 
 
+def test_broken_evaluation_accounting_raises(monkeypatch):
+    def one_call_too_many(plan, image, **kwargs):
+        image(complex(plan.p[0]))
+        return evaluate_image(plan, image, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_image", one_call_too_many)
+    config = harness.ExperimentConfig("B", methods=("talbot",), **TINY)
+    with pytest.raises(RuntimeError, match="accounting broke for talbot: measured 6, planned 5"):
+        harness.run_experiment(config)
+
+
+def test_truncated_series_is_flagged_and_not_the_reference():
+    # 1e-6 after the delay the series' truncation bound is 1.3e3: its flux
+    # reads -3.22 where the march reads -1.8e-5
+    config = harness.ExperimentConfig("D", methods=("dehoog",), n_times=3, t_min=0.080001,
+                                      t_max=1.0, terms=15, n_per_unit=2)
+    result = harness.run_experiment(config)
+    assert result.series_truncated.tolist() == [True, False, False]
+    series, fd = result.reference_series, result.reference_fd
+    for got, s, f in zip(result.reference, series, fd):
+        assert got[0] == f[0] and np.array_equal(got[1:], s[1:])
+    assert result.summary[0]["max_err_flux"] < 0.05
+    buf = io.StringIO()
+    harness.write_experiment_csv(result, buf)
+    flags = [line.split(",")[-1] for line in buf.getvalue().splitlines()
+             if ",reference-series," in line]
+    assert flags == [harness.FLAG_SERIES_TRUNCATED, "ok", "ok"]
+
+
 def test_experiment_reference_columns(tiny_a):
     pot, flux = tiny_a.reference
     assert pot.shape == (5,)
@@ -230,7 +259,7 @@ def test_delayed_experiment_weeks_flagged():
 def test_near_boundary_point_flags_every_time():
     # (0.1, 1.0) is inside the mesh but within half an element of its left side
     config = harness.ExperimentConfig("B", observation=(0.1, 1.0), n_times=3, terms=9,
-                                      n_per_unit=2, t_max=1.0, fd_nx=60, fd_dt=2e-3)
+                                      n_per_unit=2, t_max=1.0)
     harness.run_experiment(config)
     # the flags are kept with the cached transfers
     result = harness.run_experiment(config)
@@ -341,7 +370,9 @@ def test_cli_config_file_with_overrides(tmp_path):
         "terms = 5\n"
         "times = 4\n"
         "t-range = 0.1:10\n"
-        "mesh-density = 2\n")
+        "mesh-density = 2\n"
+        "pairs = false\n"
+        "gnuplot = false\n")
     out = tmp_path / "out"
     rc = cli.main(["--config", str(cfg), "--out", str(out),
                    "--methods", "dehoog"])  # command line wins
@@ -349,9 +380,12 @@ def test_cli_config_file_with_overrides(tmp_path):
     text = (out / "experiment_A.csv").read_text()
     assert ",dehoog," in text
     assert ",talbot," not in text
+    assert not list(out.glob("*.dat"))
+    assert cli.main(["--config", str(cfg), "--out", str(out), "--gnuplot"]) == 0
+    assert (out / "experiment_A_talbot.dat").exists()
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path)]) == 2  # no experiment selected
     assert cli.main(["--experiment", "B", "--methods", "stehfest",
                      "--out", str(tmp_path)]) == 2
@@ -359,6 +393,12 @@ def test_cli_error_paths(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
     assert cli.main(["--config", str(bad)]) == 2
+    for line in ("pairs = no", "gnuplot = yes", "mesh_densty = 99"):
+        bad.write_text(f"experiment = A\n{line}\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(bad), "--out", str(tmp_path)]) == 2, line
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: "), line
+    assert not (tmp_path / "pairs.csv").exists()
 
 
 def test_cli_rejects_non_finite_times(tmp_path, capsys):
