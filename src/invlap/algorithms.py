@@ -14,13 +14,12 @@ breakdown (a deformed-contour overflow, say) without aborting.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 from .specfun import laguerre_sum
 
@@ -279,19 +278,26 @@ class SchaperyFit:
 
 @lru_cache(maxsize=256)
 def _collocation(nodes: tuple):
-    """Read-only P_ij = 1/(p_i + p_j) and its 2-norm condition number."""
+    """Read-only LDL^T factor of P_ij = 1/(p_i + p_j) (LAPACK ``dsytrf``,
+    upper triangle), its status, and the 2-norm condition number of P.
+
+    ``info > 0`` means the factor has an exactly zero pivot.
+    """
     p = np.asarray(nodes, dtype=float)
     mat = 1.0 / (p[:, None] + p[None, :])
-    return _read_only(mat), float(np.linalg.cond(mat))
+    lu, ipiv, info = dsytrf(mat)
+    return _read_only(lu), _read_only(ipiv), info, float(np.linalg.cond(mat))
 
 
 def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
     """Solve the symmetric collocation system P a = fbar(p_j) - f_s/p_j.
 
-    P_ij = 1/(p_i + p_j) depends only on the nodes, so it is built once
-    per node ladder.  The system is dense and can be very ill conditioned
-    for long geometric ladders; the 2-norm condition estimate is recorded
-    on the result.
+    P_ij = 1/(p_i + p_j) depends only on the nodes, so it is factored
+    once per node ladder and each fit is one back-substitution.  The
+    system is dense and can be very ill conditioned for long geometric
+    ladders; the 2-norm condition estimate is recorded on the result.
+    Non-finite samples raise ValueError; a singular factor or non-finite
+    coefficients raise :class:`SingularFitError`.
     """
     p = np.asarray(params.nodes, dtype=float)
     vals = _require_real(samples, "schapery_fit")
@@ -302,18 +308,16 @@ def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
         f_s = p[0] * vals[0]
     else:
         f_s = np.asarray(params.f_s, dtype=float)
-    mat, cond = _collocation(params.nodes)
+    lu, ipiv, info, cond = _collocation(params.nodes)
     rhs = vals - np.multiply.outer(1.0 / p, f_s) if vals.ndim > 1 else vals - f_s / p
-    try:
-        with warnings.catch_warnings():
-            # conditioning is reported through the returned fit; long
-            # geometric ladders are expected to be extreme here
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            a = scipy.linalg.solve(mat, rhs, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("schapery_fit expects finite samples")
+    if info > 0:
         raise SingularFitError(
-            f"Schapery collocation matrix is singular (cond ~ {cond:.3e})"
-        ) from exc
+            f"Schapery collocation matrix is singular (cond ~ {cond:.3e})")
+    # dsytrs returns channels in Fortran order; schapery_eval's tensordot
+    # sums a C-ordered array in another order, which moves its last bits
+    a = np.ascontiguousarray(dsytrs(lu, ipiv, rhs)[0])
     if not np.all(np.isfinite(a)):
         raise SingularFitError(
             f"Schapery collocation solve produced non-finite coefficients "
@@ -338,6 +342,16 @@ def weeks_theta(params: WeeksParams) -> np.ndarray:
     return (np.arange(1, m + 1) - 0.5) * np.pi / m
 
 
+@lru_cache(maxsize=256)
+def _weeks_kernel(params: WeeksParams):
+    """Read-only b/(1 - e^{i theta_j}) and e^{-i n theta_j}, n = 0..N, at
+    the midpoints of :func:`weeks_theta`."""
+    theta = weeks_theta(params)
+    scale = params.b / (1.0 - np.exp(1j * theta))
+    kernel = np.exp(-1j * np.outer(np.arange(params.n_coeffs + 1), theta))
+    return _read_only(scale), _read_only(kernel)
+
+
 def weeks_nodes(params: WeeksParams) -> np.ndarray:
     """Laplace nodes p = kappa - b/2 + b/(1 - e^{i theta}) on Re p = kappa.
 
@@ -345,8 +359,8 @@ def weeks_nodes(params: WeeksParams) -> np.ndarray:
     follows from Schwarz reflection of a real-valued time function, which
     halves the image evaluations.
     """
-    z = np.exp(1j * weeks_theta(params))
-    return params.kappa - params.b / 2.0 + params.b / (1.0 - z)
+    scale, _ = _weeks_kernel(params)
+    return params.kappa - params.b / 2.0 + scale
 
 
 def weeks_coefficients(samples, params: WeeksParams) -> np.ndarray:
@@ -359,13 +373,10 @@ def weeks_coefficients(samples, params: WeeksParams) -> np.ndarray:
     vals = np.asarray(samples, dtype=complex)
     if vals.shape[0] != params.m_half:
         raise ValueError(f"expected {params.m_half} samples, got {vals.shape[0]}")
-    theta = weeks_theta(params)
-    z = np.exp(1j * theta)
-    psi = (params.b / (1.0 - z))[(...,) + (None,) * (vals.ndim - 1)] * vals
-    n_idx = np.arange(params.n_coeffs + 1)
+    scale, kernel = _weeks_kernel(params)
+    psi = scale[(...,) + (None,) * (vals.ndim - 1)] * vals
     # a_n = (1/2M) sum over all 2M midpoints of Psi e^{-i n theta}; the
     # mirrored half contributes the conjugate, leaving twice the real part.
-    kernel = np.exp(-1j * np.outer(n_idx, theta))
     return np.tensordot(kernel, psi, axes=(1, 0)).real / params.m_half
 
 
@@ -464,6 +475,7 @@ def _qd_coefficients(a: np.ndarray) -> np.ndarray:
     """
     m = (a.shape[0] - 1) // 2
     d = np.empty(a.shape, dtype=complex)
+    heads = []                       # q_1[0], e_1[0], q_2[0], e_2[0], ...
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = a.astype(complex)
         c[0] *= 0.5
@@ -473,22 +485,31 @@ def _qd_coefficients(a: np.ndarray) -> np.ndarray:
         for j in range(1, m + 1):
             # e_j rows 0..2(M-j), then q_{j+1} rows 0..2(M-j)-1
             e = q[1:] - q[:-1] + e[1:q.shape[0]]
-            d[2 * j - 1] = -q[0]
-            d[2 * j] = -e[0]
+            heads += (q[0], e[0])
             q = q[1:-1] * e[1:] / e[:-1]
+        np.negative(heads, out=d[1:])
     return d
 
 
-def _dehoog_eval(d: np.ndarray, z: complex) -> complex:
-    """Evaluate the continued fraction at z with the analytic remainder."""
-    m = (d.shape[0] - 1) // 2
-    a_prev, a_cur = 0.0 + 0j, d[0]
-    b_prev, b_cur = 1.0 + 0j, 1.0 + 0j
-    for i in range(1, 2 * m):
-        a_prev, a_cur = a_cur, a_cur + d[i] * z * a_prev
-        b_prev, b_cur = b_cur, b_cur + d[i] * z * b_prev
-    brem = (1.0 + (d[2 * m - 1] - d[2 * m]) * z) / 2.0
-    rem = -brem * (1.0 - np.sqrt(1.0 + d[2 * m] * z / (brem * brem)))
+def _dehoog_eval(d: list, z: complex) -> complex:
+    """Evaluate the continued fraction d_0..d_2M at z with the analytic
+    remainder.
+
+    The recurrence runs on Python complex numbers, which round as numpy's
+    scalars do.  The remainder stays in numpy scalars: ``cmath.sqrt`` and
+    Python's complex division round differently from numpy's.
+    """
+    m = (len(d) - 1) // 2
+    zc = complex(z)
+    a_prev, a_cur = 0j, d[0]
+    b_prev, b_cur = 1 + 0j, 1 + 0j
+    for di in d[1:2 * m]:
+        dz = di * zc
+        a_prev, a_cur = a_cur, a_cur + dz * a_prev
+        b_prev, b_cur = b_cur, b_cur + dz * b_prev
+    d_odd, d_even = np.complex128(d[2 * m - 1]), np.complex128(d[2 * m])
+    brem = (1.0 + (d_odd - d_even) * z) / 2.0
+    rem = -brem * (1.0 - np.sqrt(1.0 + d_even * z / (brem * brem)))
     a_last = a_cur + rem * a_prev
     b_last = b_cur + rem * b_prev
     if b_last == 0:
@@ -527,7 +548,7 @@ class DeHoogTable:
         self.samples = vals
         self.scalar = vals.ndim == 1
         d = _qd_coefficients(vals.reshape(vals.shape[0], -1))
-        self.tables = [col if np.all(np.isfinite(col)) else None for col in d.T]
+        self.tables = [col.tolist() if np.all(np.isfinite(col)) else None for col in d.T]
 
     def evaluate(self, t: float):
         """(value, flags) at t; a quotient-difference breakdown falls back

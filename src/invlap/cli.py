@@ -19,6 +19,8 @@ from .core import METHODS, make_time_grid
 #: A flag takes 'true' or 'false'.
 _FLAGS = ("pairs", "gnuplot")
 _VALUES = ("experiment", "methods", "terms", "times", "t_range", "mesh_density", "out")
+#: The values that are integers.
+_INTEGERS = ("terms", "times", "mesh_density")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -36,6 +38,12 @@ def _parse_config_file(path: str) -> dict:
                 raise harness.ConfigError(
                     f"{path}:{lineno}: {key} takes true or false, got {value!r}")
             value = value == "true"
+        elif key in _INTEGERS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise harness.ConfigError(
+                    f"{path}:{lineno}: {key} takes an integer, got {value!r}") from None
         elif key not in _VALUES:
             raise harness.ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
@@ -98,7 +106,7 @@ def main(argv=None) -> int:
         for key, field in (("times", "n_times"), ("terms", "terms"),
                            ("mesh_density", "n_per_unit")):
             if key in options:
-                settings[field] = int(options[key])
+                settings[field] = options[key]
         config = harness.ExperimentConfig(
             experiment=str(options.get("experiment", "")), **settings)
 

@@ -81,6 +81,9 @@ class ExperimentConfig:
                               "its sample points depend explicitly on t")
         if not (0 < self.t_min < self.t_max):
             raise ConfigError("need 0 < t_min < t_max")
+        if self.t_min < oracles.CN_DT:
+            raise ConfigError(f"t_min {self.t_min:g} is below the Crank-Nicolson "
+                              f"reference step {oracles.CN_DT:g}")
         return out
 
     @property

@@ -221,8 +221,13 @@ _CN_BLOCK = 32
 _CN_CHUNK = 32
 
 
+#: Time step of the Crank-Nicolson reference march; the first output time
+#: may not come before it.
+CN_DT = 1e-3
+
+
 def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
-                      nx: int = 300, dt: float = 1e-3,
+                      nx: int = 300, dt: float = CN_DT,
                       alpha: float = 1.0) -> FdResult:
     """Second-order time march of the 1D benchmark diffusion problem.
 

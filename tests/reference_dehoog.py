@@ -1,17 +1,24 @@
-"""De Hoog's quotient-difference table built one entry at a time.
+"""De Hoog's quotient-difference table and continued fraction, built the
+older ways.
 
-Test-suite-only oracle for ``invlap.algorithms._qd_coefficients``, which
-builds each table column as one array step over all rows and channels.
-The arithmetic is the same, but numpy rounds complex products and
-quotients in its SIMD array loops differently from its scalar path, and
-the table amplifies that rounding, so the two agree closely rather than
-bit for bit.
+Test-suite-only oracles for ``invlap.algorithms``:
 
-``qd_columns`` runs :func:`_qd_coefficients` on each column of a
-``(2M+1, k)`` sample array and returns the new table's layout: a
-``(2M+1, k)`` array whose broken-down columns are NaN.  Patched in for
-``invlap.algorithms._qd_coefficients``, it replays the old inversion
-through ``invert_all``.
+* ``_qd_coefficients`` builds the table one entry at a time.  The
+  library builds each table column as one array step over all rows and
+  channels.  The arithmetic is the same, but numpy rounds complex
+  products and quotients in its SIMD array loops differently from its
+  scalar path, and the table amplifies that rounding, so the two agree
+  closely rather than bit for bit.  ``qd_columns`` runs it on each column
+  of a ``(2M+1, k)`` sample array and returns the array table's layout: a
+  ``(2M+1, k)`` array whose broken-down columns are NaN.  Patched in for
+  ``invlap.algorithms._qd_coefficients``, it replays the entry-wise
+  inversion through ``invert_all``.
+* ``qd_array_steps`` is the array-step table that negates each column
+  head into d as the loop goes; the library collects the heads and
+  negates them once, bit for bit the same.
+* ``dehoog_eval_numpy`` runs the continued-fraction recurrence on numpy
+  scalars; the library runs it on Python complex numbers, bit for bit
+  the same.
 """
 
 import numpy as np
@@ -55,3 +62,40 @@ def qd_columns(a: np.ndarray) -> np.ndarray:
         col = _qd_coefficients(a[:, j])
         d[:, j] = np.nan if col is None else col
     return d
+
+
+def qd_array_steps(a: np.ndarray) -> np.ndarray:
+    """The table of ``(2M+1, k)`` series, one array step per column."""
+    m = (a.shape[0] - 1) // 2
+    d = np.empty(a.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = a.astype(complex)
+        c[0] *= 0.5
+        d[0] = c[0]
+        q = c[1:] / c[:-1]
+        e = np.zeros_like(c)
+        for j in range(1, m + 1):
+            e = q[1:] - q[:-1] + e[1:q.shape[0]]
+            d[2 * j - 1] = -q[0]
+            d[2 * j] = -e[0]
+            q = q[1:-1] * e[1:] / e[:-1]
+    return d
+
+
+def dehoog_eval_numpy(d, z) -> complex:
+    """The continued fraction d_0..d_2M at z, in numpy scalars throughout."""
+    d = np.asarray(d, dtype=complex)
+    z = np.complex128(z)
+    m = (d.shape[0] - 1) // 2
+    a_prev, a_cur = 0.0 + 0j, d[0]
+    b_prev, b_cur = 1.0 + 0j, 1.0 + 0j
+    for i in range(1, 2 * m):
+        a_prev, a_cur = a_cur, a_cur + d[i] * z * a_prev
+        b_prev, b_cur = b_cur, b_cur + d[i] * z * b_prev
+    brem = (1.0 + (d[2 * m - 1] - d[2 * m]) * z) / 2.0
+    rem = -brem * (1.0 - np.sqrt(1.0 + d[2 * m] * z / (brem * brem)))
+    a_last = a_cur + rem * a_prev
+    b_last = b_cur + rem * b_prev
+    if b_last == 0:
+        return complex(np.nan)
+    return a_last / b_last

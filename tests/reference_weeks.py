@@ -11,6 +11,10 @@ Convention (Weeks 1966; Weideman 1999, with b_W = b/2, sigma_W = kappa):
 
     f(t) ~ exp((kappa - b/2) t) sum_{n=0}^{N} a_n L_n(b t),
     sum_n a_n w^n = b/(1 - w) fbar(kappa - b/2 + b/(1 - w)),  |w| < 1.
+
+``half_circle_coefficients`` is a second, separate oracle: the library's
+half-circle midpoint rule with its node factors and kernel rebuilt on
+every call, against which the cached kernel must agree bit for bit.
 """
 
 import numpy as np
@@ -45,3 +49,14 @@ def truncation_floor(image, time_function, times, kappa: float, b: float,
     series = np.exp((kappa - b / 2.0) * t) * (a @ basis)
     ref = np.asarray(time_function(t), dtype=float)
     return float(np.max(np.abs(series - ref) / np.maximum(np.abs(ref), 1e-300)))
+
+
+def half_circle_coefficients(samples, params) -> np.ndarray:
+    """a_0..a_N from samples at the M upper half-circle midpoints."""
+    vals = np.asarray(samples, dtype=complex)
+    m = params.m_half
+    theta = (np.arange(1, m + 1) - 0.5) * np.pi / m
+    z = np.exp(1j * theta)
+    psi = (params.b / (1.0 - z))[(...,) + (None,) * (vals.ndim - 1)] * vals
+    kernel = np.exp(-1j * np.outer(np.arange(params.n_coeffs + 1), theta))
+    return np.tensordot(kernel, psi, axes=(1, 0)).real / m

@@ -388,7 +388,8 @@ def test_cached_inverter_pieces_are_read_only():
     params = alg.SchaperyParams.geometric(8, 0.1, 1.0)
     cached = (*alg._talbot_nodes(1.5, 12), alg.stehfest_weights(12),
               alg.stehfest_weights(20, allow_large=True),
-              alg._collocation(params.nodes)[0])
+              *alg._collocation(params.nodes)[:2],
+              *alg._weeks_kernel(alg.WeeksParams.rule_of_thumb(8, 1.0)))
     for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

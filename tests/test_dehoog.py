@@ -172,3 +172,52 @@ def test_only_the_broken_column_falls_back(monkeypatch):
     assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], samples[:, 1])
     assert value[1] == 0.0
     assert value[0] == pytest.approx(1.0, abs=1e-7)
+
+
+def _random_series(rng, m, channels):
+    """(2M+1, channels) complex series with magnitudes over many decades."""
+    shape = (2 * m + 1, channels)
+    scale = 10.0 ** rng.uniform(-8, 8, shape)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_table_matches_array_step_reference_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        a = _random_series(rng, int(rng.integers(1, 26)), int(rng.integers(1, 3)))
+        assert np.array_equal(alg._qd_coefficients(a), reference_dehoog.qd_array_steps(a),
+                              equal_nan=True)
+
+
+def test_recurrence_matches_numpy_scalar_reference_bit_for_bit():
+    # finite tables only: DeHoogTable evaluates no other
+    rng = np.random.default_rng(15)
+    draws = 0
+    while draws < 3000:
+        m = int(rng.integers(1, 26))
+        d = alg._qd_coefficients(_random_series(rng, m, 1))[:, 0]
+        if not np.all(np.isfinite(d)):
+            continue
+        draws += 1
+        z = np.exp(1j * np.pi * rng.uniform(0.0, 1.0))
+        got = alg._dehoog_eval(d.tolist(), z)
+        ref = reference_dehoog.dehoog_eval_numpy(d, z)
+        assert np.array_equal(got, ref, equal_nan=True), (m, z)
+
+
+@pytest.mark.parametrize("grid", PAIRS_DENSE_GRIDS, ids=("log", "linear"))
+@pytest.mark.parametrize("strategy", (SamplingStrategy.PER_TIME_OPTIMAL,
+                                      SamplingStrategy.SHARED_PER_LOG_CYCLE),
+                         ids=lambda s: s.value)
+def test_inversion_matches_numpy_scalar_recurrence_bit_for_bit(grid, strategy, monkeypatch):
+    # two channels, as the BEM image gives
+    plan = plan_samples("dehoog", grid, 41, strategy)
+    for pair in oracles.pair_catalog():
+        samples = evaluate_image(plan, lambda p: np.array([pair.image(p), 2.0 * pair.image(p)]))
+        new = invert_all("dehoog", samples, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(alg, "_qd_coefficients", reference_dehoog.qd_array_steps)
+            patch.setattr(alg, "_dehoog_eval", reference_dehoog.dehoog_eval_numpy)
+            ref = invert_all("dehoog", samples, grid)
+        assert new.flags == ref.flags, pair.name
+        assert np.array_equal(new.values, ref.values, equal_nan=True), pair.name

@@ -59,6 +59,20 @@ def test_observation_outside_mesh_rejected(point, monkeypatch):
         harness.run_experiment(config)
 
 
+def test_t_min_below_crank_nicolson_step_rejected_before_any_solve(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a BEM solve ran for a t_min the reference cannot reach")
+
+    monkeypatch.setattr(bem, "assemble", no_solve)
+    config = harness.ExperimentConfig(experiment="A", t_min=0.0005, t_max=1.0, **TINY)
+    with pytest.raises(harness.ConfigError, match="Crank-Nicolson reference step 0.001"):
+        harness.run_experiment(config)
+    assert cli.main(["--experiment", "B", "--t-range", "0.0005:1",
+                     "--out", str(tmp_path)]) == 2
+    assert "Crank-Nicolson" in capsys.readouterr().err
+
+
 def test_bem_image_counts_solves():
     mesh = bem.benchmark_rectangle_mesh(2)
     image = harness.BemImage(mesh, (1.0, 1.0), oracles.HEAVISIDE)
@@ -393,7 +407,8 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
     assert cli.main(["--config", str(bad)]) == 2
-    for line in ("pairs = no", "gnuplot = yes", "mesh_densty = 99"):
+    for line in ("pairs = no", "gnuplot = yes", "mesh_densty = 99", "times = abc",
+                 "terms = 2.5", "mesh-density = "):
         bad.write_text(f"experiment = A\n{line}\n")
         capsys.readouterr()
         assert cli.main(["--config", str(bad), "--out", str(tmp_path)]) == 2, line

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import reference_schapery
+from scipy.linalg.lapack import dsytrf
 
-from invlap.algorithms import SchaperyParams, schapery_eval, schapery_fit
+from invlap import algorithms as alg
+from invlap.algorithms import (SchaperyParams, SingularFitError, schapery_eval,
+                               schapery_fit)
 
 
 def test_node_validation():
@@ -86,3 +90,51 @@ def test_vector_channels():
     assert out.shape == (2,)
     assert out[0] == pytest.approx(1.0, rel=1e-8)
     assert out[1] == pytest.approx(2.0, rel=1e-8)
+
+
+#: Ladders of experiment A (9 terms), of the benchmark's pair workload
+#: (16), of the pair suite (41) and of experiments B-D (51 terms,
+#: condition 1.7e20), plus short ones.
+LADDERS = (2, 3, 9, 15, 16, 41, 51)
+
+
+@pytest.mark.parametrize("terms", LADDERS)
+def test_factor_matches_scipy_solve_bit_for_bit(terms):
+    # one cached LDL^T factor and a back-substitution per fit give the
+    # same coefficients as a full symmetric solve, in C order, so that
+    # schapery_eval sums them in the same order too
+    rng = np.random.default_rng(terms)
+    params = SchaperyParams.geometric(terms, t_min=0.01, t_max=10.0)
+    for shape in [(terms,), (terms, 1), (terms, 2)] * 20:
+        samples = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
+        fit = schapery_fit(samples, params)
+        ref = reference_schapery.fit_coefficients(samples, params)
+        assert fit.coefficients.flags.c_contiguous
+        assert np.array_equal(fit.coefficients, ref)
+        for t in (0.01, 0.3, 10.0):
+            ref_value = fit.f_s + np.tensordot(np.exp(-fit.nodes * t), ref, axes=(0, 0))
+            assert np.array_equal(schapery_eval(fit, t), ref_value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("f_s", [None, 1.0])
+def test_non_finite_sample_raises_value_error(bad, f_s):
+    params = SchaperyParams(nodes=(0.5, 1.0, 2.0), f_s=f_s)
+    for i in range(3):
+        samples = np.array([1.0, 0.5, 0.25])
+        samples[i] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            schapery_fit(samples, params)
+        if f_s is None:
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                schapery_fit(np.column_stack([np.ones(3), samples]), params)
+
+
+def test_zero_pivot_raises_singular_fit_error(monkeypatch):
+    # distinct positive nodes give a positive definite P, so a zero pivot
+    # is patched in
+    lu, ipiv, info = dsytrf(np.zeros((3, 3)))
+    assert info > 0
+    monkeypatch.setattr(alg, "_collocation", lambda nodes: (lu, ipiv, info, math.inf))
+    with pytest.raises(SingularFitError, match="singular"):
+        schapery_fit(np.ones(3), SchaperyParams(nodes=(0.5, 1.0, 2.0)))

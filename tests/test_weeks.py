@@ -130,3 +130,16 @@ def test_sample_count_checked():
     params = WeeksParams.rule_of_thumb(8, t_max=1.0)
     with pytest.raises(ValueError):
         weeks_coefficients(np.zeros(5, dtype=complex), params)
+
+
+@pytest.mark.parametrize("terms", (2, 8, 16, 32))
+def test_cached_kernel_matches_uncached_formula_bit_for_bit(terms):
+    rng = np.random.default_rng(terms)
+    params = WeeksParams.rule_of_thumb(terms, t_max=10.0)
+    z = np.exp(1j * weeks_theta(params))
+    assert np.array_equal(weeks_nodes(params),
+                          params.kappa - params.b / 2.0 + params.b / (1.0 - z))
+    for shape in [(params.m_half,), (params.m_half, 1), (params.m_half, 2)] * 20:
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(weeks_coefficients(samples, params),
+                              reference_weeks.half_circle_coefficients(samples, params))
