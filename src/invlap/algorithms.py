@@ -9,6 +9,15 @@ All inverters are pure functions of (samples, parameters, t).  Numerical
 failure of a single output time is reported through returned flag strings
 rather than exceptions, so a sweep over many times survives partial
 breakdown (a deformed-contour overflow, say) without aborting.
+
+Each method inverts a whole sample plan in one call of its batch form,
+``<method>_batch(samples, params, times)``: samples is a ``(groups,
+nodes, *channels)`` stack, params and times hold one parameter set and
+one array of output times per group, and the result is the values,
+shaped ``(times, *channels)`` in group order, and one flag tuple per
+time.  Each group's samples stay one contiguous ``(nodes, *channels)``
+block, so a per-group product rounds as it does for that group alone.
+The one-time inverters are the one-group case of the batch forms.
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ _EXP_LIMIT = 700.0
 #: Largest admissible relative imaginary part for samples on real contours.
 _REAL_SAMPLE_IMAG_RTOL = 1e-12
 
+#: Most (group, time) pairs one array step of a batch inverter sums; a
+#: longer grid goes in chunks, so scratch memory stays bounded by the
+#: chunk, not the grid.  Each pair rounds the same in any chunk.
+_PAIR_CHUNK = 1024
+
 FLAG_TALBOT_TAIL = "talbot-tail"
 FLAG_NONFINITE_SAMPLES = "nonfinite-samples"
 FLAG_QD_FALLBACK = "qd-fallback"
@@ -53,9 +67,27 @@ class SingularFitError(RuntimeError):
     """Raised when an exponential-fit collocation matrix cannot be solved."""
 
 
-def _flagged_nan(shape: tuple, flag: str):
-    """(NaN of the given channel shape, (flag,)) for a time that cannot invert."""
-    return (np.full(shape, np.nan) if shape else math.nan), (flag,)
+def _one_time(batch, samples, params, t: float):
+    """(value, flags) at time t of one sample vector, by a batch inverter."""
+    values, flags = batch(np.asarray(samples, dtype=complex)[None], (params,),
+                          (np.array([t], dtype=float),))
+    return values[0], flags[0]
+
+
+def _check_count(samples: np.ndarray, expected: int):
+    """Raise unless a (groups, nodes, ...) stack has `expected` nodes."""
+    if samples.shape[1] != expected:
+        raise ValueError(f"expected {expected} samples, got {samples.shape[1]}")
+
+
+def _pairs(times) -> tuple:
+    """Group index and time of every (group, time) pair, in group order."""
+    return np.repeat(np.arange(len(times)), [ts.size for ts in times]), np.concatenate(times)
+
+
+def _chunks(idx: np.ndarray):
+    """Consecutive pieces of at most _PAIR_CHUNK entries of an index array."""
+    return (idx[i:i + _PAIR_CHUNK] for i in range(0, idx.size, _PAIR_CHUNK))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -241,12 +273,37 @@ def stehfest_nodes(t: float, params: StehfestParams) -> np.ndarray:
 
 
 def _require_real(samples, what: str) -> np.ndarray:
+    """Real parts of a (groups, nodes, *channels) stack; raises when a
+    group's imaginary parts exceed _REAL_SAMPLE_IMAG_RTOL of its largest
+    modulus."""
     v = np.asarray(samples, dtype=complex)
-    scale = np.max(np.abs(v)) or 1.0
-    if np.max(np.abs(v.imag)) > _REAL_SAMPLE_IMAG_RTOL * scale:
+    if not v.imag.any():
+        return v.real
+    axes = tuple(range(1, v.ndim))
+    scale = np.max(np.abs(v), axis=axes)
+    scale[scale == 0] = 1.0
+    if np.any(np.max(np.abs(v.imag), axis=axes) > _REAL_SAMPLE_IMAG_RTOL * scale):
         raise ValueError(f"{what} expects real-valued samples; "
                          f"imaginary parts exceed {_REAL_SAMPLE_IMAG_RTOL:g} relative")
     return v.real
+
+
+def stehfest_batch(samples, params, times) -> tuple:
+    """(ln2/t) sum V_k fbar(k ln2/t) for every group of a sample stack.
+
+    One weighted sum per group: stacking the groups into one product sums
+    in another order, which weights of 1e6-1e9 amplify.  Each group's
+    real parts stay a strided view of the complex stack, as they are for
+    a group on its own: a contiguous copy rounds differently too.
+    """
+    vals = _require_real(samples, "stehfest_invert")
+    values = []
+    for v, par, ts in zip(vals, params, times):
+        _check_count(vals, par.n_terms)
+        w = stehfest_weights(par.n_terms, allow_large=par.allow_large)
+        values.append(np.multiply.outer(LN2 / ts, np.tensordot(w, v, axes=(0, 0))))
+    values = np.concatenate(values)
+    return values, [()] * len(values)
 
 
 def stehfest_invert(samples, t: float, params: StehfestParams):
@@ -255,11 +312,7 @@ def stehfest_invert(samples, t: float, params: StehfestParams):
     samples holds fbar at the nodes of :func:`stehfest_nodes` in order;
     a trailing axis inverts several image channels at once.
     """
-    vals = _require_real(samples, "stehfest_invert")
-    if vals.shape[0] != params.n_terms:
-        raise ValueError(f"expected {params.n_terms} samples, got {vals.shape[0]}")
-    w = stehfest_weights(params.n_terms, allow_large=params.allow_large)
-    return (LN2 / t) * np.tensordot(w, vals, axes=(0, 0))
+    return _one_time(stehfest_batch, samples, params, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +342,43 @@ def _collocation(nodes: tuple):
     return _read_only(lu), _read_only(ipiv), info, float(np.linalg.cond(mat))
 
 
+def _schapery_fits(samples, params) -> list:
+    """One :class:`SchaperyFit` per group of a (groups, nodes, *channels)
+    stack; see :func:`schapery_fit`."""
+    vals = _require_real(samples, "schapery_fit")
+    for par in params:
+        _check_count(vals, len(par.nodes))
+    p = np.array([par.nodes for par in params])
+    channels = (None,) * (vals.ndim - 2)
+    # f_s per group: the final-value estimate from the smallest node, or fixed
+    f_s = p[(slice(None), 0, *channels)] * vals[:, 0]
+    for g, par in enumerate(params):
+        if par.f_s is not None:
+            f_s[g] = par.f_s
+    if channels:
+        rhs = vals - (1.0 / p)[(..., *channels)] * f_s[:, None]
+    else:
+        rhs = vals - f_s[:, None] / p
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("schapery_fit expects finite samples")
+    fits = []
+    for p_g, f_g, rhs_g, par in zip(p, f_s, rhs, params):
+        lu, ipiv, info, cond = _collocation(par.nodes)
+        if info > 0:
+            raise SingularFitError(
+                f"Schapery collocation matrix is singular (cond ~ {cond:.3e})")
+        # dsytrs returns channels in Fortran order; schapery_eval's tensordot
+        # sums a C-ordered array in another order, which moves its last bits
+        a = np.ascontiguousarray(dsytrs(lu, ipiv, rhs_g)[0])
+        if not np.all(np.isfinite(a)):
+            raise SingularFitError(
+                f"Schapery collocation solve produced non-finite coefficients "
+                f"(cond ~ {cond:.3e})"
+            )
+        fits.append(SchaperyFit(coefficients=a, nodes=p_g, f_s=np.asarray(f_g), condition=cond))
+    return fits
+
+
 def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
     """Solve the symmetric collocation system P a = fbar(p_j) - f_s/p_j.
 
@@ -296,40 +386,26 @@ def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
     once per node ladder and each fit is one back-substitution.  The
     system is dense and can be very ill conditioned for long geometric
     ladders; the 2-norm condition estimate is recorded on the result.
-    Non-finite samples raise ValueError; a singular factor or non-finite
-    coefficients raise :class:`SingularFitError`.
+    A fixed f_s applies to every channel.  Non-finite samples raise
+    ValueError; a singular factor or non-finite coefficients raise
+    :class:`SingularFitError`.
     """
-    p = np.asarray(params.nodes, dtype=float)
-    vals = _require_real(samples, "schapery_fit")
-    if vals.shape[0] != p.size:
-        raise ValueError(f"expected {p.size} samples, got {vals.shape[0]}")
-    if params.f_s is None:
-        # final-value estimate from the smallest node
-        f_s = p[0] * vals[0]
-    else:
-        f_s = np.asarray(params.f_s, dtype=float)
-    lu, ipiv, info, cond = _collocation(params.nodes)
-    rhs = vals - np.multiply.outer(1.0 / p, f_s) if vals.ndim > 1 else vals - f_s / p
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("schapery_fit expects finite samples")
-    if info > 0:
-        raise SingularFitError(
-            f"Schapery collocation matrix is singular (cond ~ {cond:.3e})")
-    # dsytrs returns channels in Fortran order; schapery_eval's tensordot
-    # sums a C-ordered array in another order, which moves its last bits
-    a = np.ascontiguousarray(dsytrs(lu, ipiv, rhs)[0])
-    if not np.all(np.isfinite(a)):
-        raise SingularFitError(
-            f"Schapery collocation solve produced non-finite coefficients "
-            f"(cond ~ {cond:.3e})"
-        )
-    return SchaperyFit(coefficients=a, nodes=p, f_s=np.asarray(f_s), condition=cond)
+    return _schapery_fits(np.asarray(samples, dtype=complex)[None], (params,))[0]
 
 
 def schapery_eval(fit: SchaperyFit, t: float):
     """f_s + sum a_i exp(-p_i t)."""
     decay = np.exp(-fit.nodes * t)
     return fit.f_s + np.tensordot(decay, fit.coefficients, axes=(0, 0))
+
+
+def schapery_batch(samples, params, times) -> tuple:
+    """Fit every group of a sample stack and evaluate each fit at its
+    group's times, one product per time."""
+    fits = _schapery_fits(samples, params)
+    values = np.array([schapery_eval(fit, t)
+                       for fit, ts in zip(fits, times) for t in ts.tolist()])
+    return values, [()] * len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +456,36 @@ def weeks_coefficients(samples, params: WeeksParams) -> np.ndarray:
     return np.tensordot(kernel, psi, axes=(1, 0)).real / params.m_half
 
 
+def _weeks_values(coeffs: list, params, times) -> tuple:
+    """e^{(kappa - b/2) t} sum a_n L_n(b t) at every group's times, in
+    Clenshaw sums over chunks of pairs; a time whose exponential
+    overflows is a flagged NaN."""
+    gi, t = _pairs(times)
+    exponent = np.array([par.kappa - par.b / 2.0 for par in params])[gi] * t
+    ok = ~(exponent > _EXP_LIMIT)
+    a = np.stack(coeffs, axis=1)
+    x = np.array([par.b for par in params])[gi] * t
+    channels = (None,) * (a.ndim - 2)
+    values = np.full(t.shape + a.shape[2:], np.nan)
+    for idx in _chunks(np.flatnonzero(ok)):
+        growth = np.array([math.exp(e) for e in exponent[idx].tolist()])
+        values[idx] = growth[(..., *channels)] * laguerre_sum(a[:, gi[idx]],
+                                                              x[idx][(..., *channels)])
+    return values, [() if o else (FLAG_EXP_OVERFLOW,) for o in ok.tolist()]
+
+
+def weeks_batch(samples, params, times) -> tuple:
+    """Weeks coefficients of every group of a sample stack, one product
+    per group, summed at each group's times."""
+    coeffs = [weeks_coefficients(v, par) for v, par in zip(samples, params)]
+    return _weeks_values(coeffs, params, times)
+
+
 def weeks_eval(a, params: WeeksParams, t: float):
     """e^{(kappa - b/2) t} sum a_n L_n(b t) via Clenshaw; flags overflow."""
-    exponent = (params.kappa - params.b / 2.0) * t
-    if exponent > _EXP_LIMIT:
-        return _flagged_nan(np.shape(a)[1:], FLAG_EXP_OVERFLOW)
-    return math.exp(exponent) * laguerre_sum(a, params.b * t), ()
+    values, flags = _weeks_values([np.asarray(a, dtype=float)], (params,),
+                                  (np.array([t], dtype=float),))
+    return values[0], flags[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,35 +524,53 @@ def talbot_contour(r: float, n: int) -> np.ndarray:
     return p
 
 
+def talbot_batch(samples, params, times) -> tuple:
+    """Quadrature sums along each group's deformed contour at its times.
+
+    The (group, time) pairs are summed in array steps of up to
+    _PAIR_CHUNK pairs.  A sum is flagged when r t overflows exp, when
+    its group has a non-finite sample, or when its last term has not
+    decayed relative to the largest one, which happens whenever the
+    image grows too fast as Re p -> -infinity for the requested t
+    (delayed time behaviors).
+    """
+    vals = np.asarray(samples, dtype=complex)
+    for par in params:
+        _check_count(vals, par.n_nodes)
+    gi, t = _pairs(times)
+    r = np.array([par.r for par in params])[gi]
+    overflow = r * t > _EXP_LIMIT
+    finite = np.isfinite(vals).reshape(len(params), -1).all(axis=1)[gi]
+    nodes = [_talbot_nodes(par.r, par.n_nodes) for par in params]
+    p = np.stack([p_g for p_g, _ in nodes])
+    w = np.stack([w_g for _, w_g in nodes])
+    channels = (None,) * (vals.ndim - 2)
+    axes = tuple(range(1, vals.ndim - 1))  # the channel axes of a pair's value
+
+    values = np.full(gi.shape + vals.shape[2:], np.nan)
+    flags = [(FLAG_EXP_OVERFLOW,) if o else (FLAG_NONFINITE_SAMPLES,) for o in overflow.tolist()]
+    for idx in _chunks(np.flatnonzero(~overflow & finite)):
+        g, tc, rc = gi[idx], t[idx], r[idx]
+        v = vals[g]
+        terms = np.exp(tc[:, None] * p[g])[(..., *channels)] * v[:, 1:] * w[g][(..., *channels)]
+        growth = np.array([math.exp(x) for x in (rc * tc).tolist()])
+        head = (0.5 * growth)[(..., *channels)] * v[:, 0]
+        values[idx] = (rc / vals.shape[1])[(..., *channels)] * (head + terms.sum(axis=1)).real
+        size = np.abs(terms)
+        peak = np.maximum(size.max(axis=(1, *(a + 1 for a in axes))), np.abs(head).max(axis=axes))
+        tail = size[:, -1].max(axis=axes)
+        stalled = (peak > 0) & (tail > TALBOT_TAIL_RATIO * peak)
+        for i, bad in zip(idx.tolist(), stalled.tolist()):
+            flags[i] = (FLAG_TALBOT_TAIL,) if bad else ()
+    return values, flags
+
+
 def talbot_invert(samples, t: float, params: TalbotParams):
     """Quadrature sum along the deformed contour, with tail-convergence guard.
 
-    Returns (value, flags).  The sum is flagged when any sample along the
-    contour is non-finite or when its last term has not decayed relative
-    to the largest one, which happens whenever the image grows too fast as
-    Re p -> -infinity for the requested t (delayed time behaviors).
+    Returns (value, flags); see :func:`talbot_batch` for the flags.
     """
-    vals = np.asarray(samples, dtype=complex)
-    n = params.n_nodes
-    if vals.shape[0] != n:
-        raise ValueError(f"expected {n} samples, got {vals.shape[0]}")
-    r = params.r
-    if r * t > _EXP_LIMIT:
-        return _flagged_nan(vals.shape[1:], FLAG_EXP_OVERFLOW)
-    if not np.all(np.isfinite(vals)):
-        return _flagged_nan(vals.shape[1:], FLAG_NONFINITE_SAMPLES)
-    p, w = _talbot_nodes(r, n)
-    w = w[(...,) + (None,) * (vals.ndim - 1)]
-    ep = np.exp(t * p)[(...,) + (None,) * (vals.ndim - 1)]
-    terms = ep * vals[1:] * w
-    head = 0.5 * math.exp(r * t) * vals[0]
-    total = (r / n) * (head + terms.sum(axis=0)).real
-    peak = max(float(np.max(np.abs(terms))), float(np.max(np.abs(head))))
-    tail = float(np.max(np.abs(terms[-1])))
-    flags = ()
-    if peak > 0 and tail > TALBOT_TAIL_RATIO * peak:
-        flags = (FLAG_TALBOT_TAIL,)
-    return total, flags
+    return _one_time(talbot_batch, samples, params, t)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +649,60 @@ def _dehoog_direct(a: np.ndarray, t: float, params: DeHoogParams):
     return math.exp(params.gamma0 * t) / params.big_t * (ww * a).sum(axis=0).real
 
 
+def _finite_tables(d: np.ndarray) -> list:
+    """Each column of a qd coefficient array as a list, or None where the
+    table broke down."""
+    return [col.tolist() if np.all(np.isfinite(col)) else None for col in d.T]
+
+
+def _dehoog_at(tables: list, cols: np.ndarray, params: DeHoogParams, t: float):
+    """(values, flags) at t of the tables of the sample columns `cols`.
+
+    A column whose table broke down, or whose continued fraction is not
+    finite, falls back to the direct trapezoid sum with a diagnostic
+    flag; a t whose exp(gamma0 t) overflows gives NaN with an
+    exp-overflow flag.
+    """
+    if params.gamma0 * t > _EXP_LIMIT:
+        return np.full(cols.shape[1], np.nan), (FLAG_EXP_OVERFLOW,)
+    z = np.exp(1j * np.pi * t / params.big_t)
+    pref = math.exp(params.gamma0 * t) / params.big_t
+    out = np.empty(cols.shape[1])
+    flags = ()
+    for j, d in enumerate(tables):
+        val = np.nan
+        if d is not None:
+            val = _dehoog_eval(d, z)
+            val = pref * val.real if np.isfinite(val) else np.nan
+        if not np.isfinite(val):
+            val = float(_dehoog_direct(cols[:, j], t, params))
+            flags = (FLAG_QD_FALLBACK,)
+        out[j] = val
+    return out, flags
+
+
+def dehoog_batch(samples, params, times) -> tuple:
+    """De Hoog's accelerated series for every group of a sample stack.
+
+    One quotient-difference pass builds the tables of every group and
+    channel, since the rhombus rules run over columns; the continued
+    fraction is evaluated per time.
+    """
+    vals = np.asarray(samples, dtype=complex)
+    for par in params:
+        _check_count(vals, 2 * par.m_half + 1)
+    cols = vals.reshape(vals.shape[:2] + (-1,))
+    k = cols.shape[2]
+    tables = _finite_tables(_qd_coefficients(np.concatenate(cols, axis=1)))
+    values, flags = [], []
+    for g, (par, ts) in enumerate(zip(params, times)):
+        for t in ts.tolist():
+            value, tflags = _dehoog_at(tables[g * k:(g + 1) * k], cols[g], par, t)
+            values.append(value)
+            flags.append(tflags)
+    return np.array(values).reshape((-1,) + vals.shape[2:]), flags
+
+
 class DeHoogTable:
     """Continued-fraction representation of one sample vector.
 
@@ -541,37 +713,15 @@ class DeHoogTable:
 
     def __init__(self, samples, params: DeHoogParams):
         vals = np.asarray(samples, dtype=complex)
-        expected = 2 * params.m_half + 1
-        if vals.shape[0] != expected:
-            raise ValueError(f"expected {expected} samples, got {vals.shape[0]}")
+        _check_count(vals[None], 2 * params.m_half + 1)
         self.params = params
         self.samples = vals
-        self.scalar = vals.ndim == 1
-        d = _qd_coefficients(vals.reshape(vals.shape[0], -1))
-        self.tables = [col.tolist() if np.all(np.isfinite(col)) else None for col in d.T]
+        self.tables = _finite_tables(_qd_coefficients(vals.reshape(vals.shape[0], -1)))
 
     def evaluate(self, t: float):
-        """(value, flags) at t; a quotient-difference breakdown falls back
-        to the direct trapezoid sum with a diagnostic flag, and a t whose
-        exp(gamma0 t) overflows gives NaN with an exp-overflow flag."""
-        params = self.params
-        if params.gamma0 * t > _EXP_LIMIT:
-            return _flagged_nan(self.samples.shape[1:], FLAG_EXP_OVERFLOW)
-        z = np.exp(1j * np.pi * t / params.big_t)
-        pref = math.exp(params.gamma0 * t) / params.big_t
-        cols = self.samples.reshape(self.samples.shape[0], -1)
-        out = np.empty(cols.shape[1])
-        flags = ()
-        for j, d in enumerate(self.tables):
-            val = np.nan
-            if d is not None:
-                val = _dehoog_eval(d, z)
-                val = pref * val.real if np.isfinite(val) else np.nan
-            if not np.isfinite(val):
-                val = float(_dehoog_direct(cols[:, j], t, params))
-                flags = (FLAG_QD_FALLBACK,)
-            out[j] = val
-        if self.scalar:
+        """(value, flags) at t; see :func:`_dehoog_at` for the flags."""
+        vals = self.samples
+        out, flags = _dehoog_at(self.tables, vals.reshape(vals.shape[0], -1), self.params, t)
+        if vals.ndim == 1:
             return float(out[0]), flags
-        return out.reshape(self.samples.shape[1:]), flags
-
+        return out.reshape(vals.shape[1:]), flags

@@ -157,25 +157,16 @@ class _Method:
 
     rule_of_thumb(terms, t_lo, t_hi, sigma) gives the free parameters for
     a group of times spanning [t_lo, t_hi]; nodes(params, t_hi) gives the
-    group's Laplace parameters; prepare(samples, params) returns the
-    group's inversion t -> (value, flags).  per_time marks a method whose
+    group's Laplace parameters; invert(samples, params, times) inverts a
+    (groups, nodes, *channels) sample stack at each group's times and
+    returns (values, flags) in group order.  per_time marks a method whose
     nodes depend explicitly on t, so it can only plan per time.
     """
 
     rule_of_thumb: Callable
     nodes: Callable
-    prepare: Callable
+    invert: Callable
     per_time: bool = False
-
-
-def _prepare_schapery(samples, params):
-    fit = alg.schapery_fit(samples, params)
-    return lambda t: (alg.schapery_eval(fit, t), ())
-
-
-def _prepare_weeks(samples, params):
-    coeffs = alg.weeks_coefficients(samples, params)
-    return lambda t: alg.weeks_eval(coeffs, params, t)
 
 
 #: The one place that knows each method; a new inverter is one entry.
@@ -183,36 +174,30 @@ _METHODS = {
     "stehfest": _Method(
         rule_of_thumb=lambda terms, lo, hi, sigma: alg.StehfestParams.rule_of_thumb(terms),
         nodes=lambda params, t: alg.stehfest_nodes(t, params).astype(complex),
-        prepare=lambda v, params: lambda t: (alg.stehfest_invert(v, t, params), ()),
+        invert=alg.stehfest_batch,
         per_time=True),
     "schapery": _Method(
         rule_of_thumb=lambda terms, lo, hi, sigma: alg.SchaperyParams.geometric(terms, lo, hi),
         nodes=lambda params, t: np.asarray(params.nodes, dtype=complex),
-        prepare=_prepare_schapery),
+        invert=alg.schapery_batch),
     "weeks": _Method(
         rule_of_thumb=lambda terms, lo, hi, sigma: alg.WeeksParams.rule_of_thumb(terms, hi, sigma),
         nodes=lambda params, t: alg.weeks_nodes(params),
-        prepare=_prepare_weeks),
+        invert=alg.weeks_batch),
     "talbot": _Method(
         rule_of_thumb=lambda terms, lo, hi, sigma: alg.TalbotParams.rule_of_thumb(terms, hi),
         nodes=lambda params, t: alg.talbot_contour(params.r, params.n_nodes),
-        prepare=lambda v, params: lambda t: alg.talbot_invert(v, t, params)),
+        invert=alg.talbot_batch),
     "dehoog": _Method(
         rule_of_thumb=lambda terms, lo, hi, sigma: alg.DeHoogParams.rule_of_thumb(terms, hi, sigma),
         nodes=lambda params, t: alg.dehoog_nodes(params),
-        prepare=lambda v, params: alg.DeHoogTable(v, params).evaluate),
+        invert=alg.dehoog_batch),
 }
 
 METHODS = tuple(_METHODS)
 
 #: Methods whose nodes depend on t, so PER_TIME_OPTIMAL is their only strategy.
 PER_TIME_METHODS = tuple(m for m in METHODS if _METHODS[m].per_time)
-
-
-def _prepare_nonfinite(samples, params):
-    """A group with a non-finite sample inverts to a flagged NaN at every t."""
-    nan = np.full(samples.shape[1:], np.nan)
-    return lambda t: (nan, (alg.FLAG_NONFINITE_SAMPLES,))
 
 
 def _dedup(nodes: list) -> tuple:
@@ -374,10 +359,13 @@ def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> Sa
 def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesResult:
     """Invert every grid time from a sample set produced for that method.
 
-    Each plan group inverts with its own parameters.  Values are pure
-    functions of (samples, parameters, t).  Numerically degenerate times
-    carry diagnostic flags and NaN values instead of raising, so one bad
-    time does not abort a sweep.
+    Each plan group inverts with its own parameters, and the whole plan
+    inverts in one pass per method: every group has as many nodes as the
+    others, so their samples form one (groups, nodes, *channels) stack.
+    Values are pure functions of (samples, parameters, t).  Numerically
+    degenerate times carry diagnostic flags and NaN values instead of
+    raising, so one bad time does not abort a sweep; a group with a
+    non-finite sample inverts to a flagged NaN at each of its times.
     """
     plan = samples.plan
     if plan.method != method:
@@ -385,24 +373,27 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
     if not np.array_equal(plan.grid.times, grid.times):
         raise PlanMismatchError("samples were planned for a different time grid")
 
+    sizes = {group.node_indices.size for group in plan.groups}
+    if len(sizes) > 1:
+        raise PlanMismatchError(f"plan groups differ in node count: {sorted(sizes)}")
+
     times = grid.times
-    n_t = times.size
-    out_values = None
-    out_flags: list = [()] * n_t
+    stack = samples.values[np.stack([group.node_indices for group in plan.groups])]
+    values = np.full(times.shape + stack.shape[2:], np.nan)
+    flags = [(alg.FLAG_NONFINITE_SAMPLES,)] * times.size
+    finite = np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
+    groups = [group for group, ok in zip(plan.groups, finite.tolist()) if ok]
+    if groups:
+        where = np.concatenate([group.time_indices for group in groups])
+        values[where], inverted = _METHODS[method].invert(
+            stack if len(groups) == len(plan.groups) else stack[finite],
+            [group.params for group in groups],
+            [times[group.time_indices] for group in groups])
+        for ti, tflags in zip(where.tolist(), inverted):
+            flags[ti] = tflags
 
-    for group in plan.groups:
-        vals = samples.values[group.node_indices]
-        prepare = _METHODS[method].prepare if np.all(np.isfinite(vals)) else _prepare_nonfinite
-        evaluate = prepare(vals, group.params)
-        for ti in group.time_indices:
-            value, tflags = evaluate(float(times[ti]))
-            if out_values is None:
-                out_values = np.empty((n_t,) + np.shape(value))
-            out_values[ti] = value
-            out_flags[ti] = tuple(tflags)
-
-    return TimeSeriesResult(method=method, times=times, values=out_values,
-                            flags=tuple(out_flags), plan=plan)
+    return TimeSeriesResult(method=method, times=times, values=values,
+                            flags=tuple(flags), plan=plan)
 
 
 class CountingImage:

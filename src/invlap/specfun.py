@@ -62,19 +62,21 @@ def laguerre_sum(a, x):
     Parameters
     ----------
     a : array_like
-        Coefficients a_0 .. a_N; an extra trailing axis evaluates several
+        Coefficients a_0 .. a_N; extra trailing axes evaluate several
         coefficient sets at once.
-    x : float
-        Argument, x >= 0.
+    x : float or array_like
+        Arguments, x >= 0.  An array broadcasts against the trailing axes
+        of a, so each coefficient set is summed at its own argument.
 
     ``lagval`` runs the Laguerre three-term relation backwards (Clenshaw),
     which keeps the sum stable for high orders where the forward
-    recurrence would amplify rounding.
+    recurrence would amplify rounding.  Each sum rounds the same whether
+    it is taken alone or with others.
     """
-    if x < 0:
+    if np.any(np.asarray(x) < 0):
         raise ValueError("laguerre_sum requires x >= 0")
     a = np.asarray(a, dtype=float)
-    total = lagval(x, a)
-    if a.ndim == 1:
+    total = lagval(x, a, tensor=False)
+    if a.ndim == 1 and np.ndim(x) == 0:
         return float(total)
     return total

@@ -92,6 +92,23 @@ def test_vector_channels():
     assert out[1] == pytest.approx(2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 2)])
+def test_fixed_f_s_applies_to_every_channel(shape):
+    # fbar(0.5) = 2 in every channel makes the final-value estimate
+    # p_1 fbar(p_1) exactly 1, so a fixed f_s = 1 must fit bit for bit as
+    # the estimate does
+    fixed = SchaperyParams(nodes=(0.5, 1.0, 2.0), f_s=1.0)
+    estimated = SchaperyParams(nodes=fixed.nodes)
+    channels = shape[1] if len(shape) > 1 else 1
+    samples = np.column_stack([[2.0, 0.9, 0.3], [2.0, 1.3, 0.45]])[:, :channels].reshape(shape)
+    fit = schapery_fit(samples, fixed)
+    ref = schapery_fit(samples, estimated)
+    assert np.array_equal(fit.f_s, ref.f_s) and fit.f_s.shape == shape[1:]
+    assert np.array_equal(fit.coefficients, ref.coefficients)
+    for t in (0.0, 0.7, 5.0):
+        assert np.array_equal(schapery_eval(fit, t), schapery_eval(ref, t))
+
+
 #: Ladders of experiment A (9 terms), of the benchmark's pair workload
 #: (16), of the pair suite (41) and of experiments B-D (51 terms,
 #: condition 1.7e20), plus short ones.
@@ -125,9 +142,8 @@ def test_non_finite_sample_raises_value_error(bad, f_s):
         samples[i] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             schapery_fit(samples, params)
-        if f_s is None:
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-                schapery_fit(np.column_stack([np.ones(3), samples]), params)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            schapery_fit(np.column_stack([np.ones(3), samples]), params)
 
 
 def test_zero_pivot_raises_singular_fit_error(monkeypatch):
