@@ -90,6 +90,13 @@ def _chunks(idx: np.ndarray):
     return (idx[i:i + _PAIR_CHUNK] for i in range(0, idx.size, _PAIR_CHUNK))
 
 
+def _dot_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over a's last axis and b's first: np.tensordot(a, b, axes=(-1,
+    0)) for a of one or two axes, as the same np.dot call on b's
+    (nodes, channels) view, without tensordot's checks."""
+    return np.dot(a, b.reshape(b.shape[0], -1)).reshape(a.shape[:-1] + b.shape[1:])
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """Freeze an array that a cache hands out to every caller."""
     arr.flags.writeable = False
@@ -301,7 +308,7 @@ def stehfest_batch(samples, params, times) -> tuple:
     for v, par, ts in zip(vals, params, times):
         _check_count(vals, par.n_terms)
         w = stehfest_weights(par.n_terms, allow_large=par.allow_large)
-        values.append(np.multiply.outer(LN2 / ts, np.tensordot(w, v, axes=(0, 0))))
+        values.append(np.multiply.outer(LN2 / ts, _dot_first(w, v)))
     values = np.concatenate(values)
     return values, [()] * len(values)
 
@@ -367,7 +374,7 @@ def _schapery_fits(samples, params) -> list:
         if info > 0:
             raise SingularFitError(
                 f"Schapery collocation matrix is singular (cond ~ {cond:.3e})")
-        # dsytrs returns channels in Fortran order; schapery_eval's tensordot
+        # dsytrs returns channels in Fortran order; schapery_eval's product
         # sums a C-ordered array in another order, which moves its last bits
         a = np.ascontiguousarray(dsytrs(lu, ipiv, rhs_g)[0])
         if not np.all(np.isfinite(a)):
@@ -396,7 +403,7 @@ def schapery_fit(samples, params: SchaperyParams) -> SchaperyFit:
 def schapery_eval(fit: SchaperyFit, t: float):
     """f_s + sum a_i exp(-p_i t)."""
     decay = np.exp(-fit.nodes * t)
-    return fit.f_s + np.tensordot(decay, fit.coefficients, axes=(0, 0))
+    return fit.f_s + _dot_first(decay, fit.coefficients)
 
 
 def schapery_batch(samples, params, times) -> tuple:
@@ -453,7 +460,7 @@ def weeks_coefficients(samples, params: WeeksParams) -> np.ndarray:
     psi = scale[(...,) + (None,) * (vals.ndim - 1)] * vals
     # a_n = (1/2M) sum over all 2M midpoints of Psi e^{-i n theta}; the
     # mirrored half contributes the conjugate, leaving twice the real part.
-    return np.tensordot(kernel, psi, axes=(1, 0)).real / params.m_half
+    return _dot_first(kernel, psi).real / params.m_half
 
 
 def _weeks_values(coeffs: list, params, times) -> tuple:

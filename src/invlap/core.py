@@ -11,9 +11,7 @@ output times.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -315,33 +313,26 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
                       raw_evaluations=sum(nodes.size for nodes in node_lists))
 
 
-def evaluate_image(plan: SamplePlan, image, *, workers: int | None = None) -> SampleSet:
+def evaluate_image(plan: SamplePlan, image) -> SampleSet:
     """Evaluate the image function once per distinct planned p.
 
     The image is a callable p -> complex (or a fixed-length complex
-    vector, for several observables sharing one model solve).  Results
-    are assembled in plan order no matter the evaluation order, so a
-    thread pool over `workers` gives bit-identical output to the serial
-    path.  An image whose value changes shape between calls raises
-    ImageEvaluationError at the first p whose value differs in shape from
-    the first one.  Non-finite values are kept; :func:`invert_all` flags
-    the groups that read them.
+    vector, for several observables sharing one model solve), called once
+    per planned p, in plan order, in the calling thread.  An image that
+    raises raises ImageEvaluationError carrying that p.  An image whose
+    value changes shape between calls raises ImageEvaluationError at the
+    first p whose value differs in shape from the first one.  Non-finite
+    values are kept; :func:`invert_all` flags the groups that read them.
     """
     if plan.p.size == 0:
         raise ValueError("plan is empty")
     p_list = plan.p.tolist()
-
-    def call(p):
-        try:
-            return image(p)
-        except Exception as exc:  # noqa: BLE001 - re-raised with context
-            raise ImageEvaluationError(p, exc) from exc
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(call, p_list))
-    else:
-        raw = [call(p) for p in p_list]
+    raw = []
+    try:
+        for p in p_list:
+            raw.append(image(p))
+    except Exception as exc:  # noqa: BLE001 - re-raised with context
+        raise ImageEvaluationError(p, exc) from exc
 
     try:
         values = np.array(raw, dtype=complex)
@@ -397,14 +388,12 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
 
 
 class CountingImage:
-    """Wrap an image callable with a thread-safe call counter."""
+    """Wrap an image callable with a call counter (not thread-safe)."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
-        self._lock = threading.Lock()
 
     def __call__(self, p):
-        with self._lock:
-            self.calls += 1
+        self.calls += 1
         return self.fn(p)

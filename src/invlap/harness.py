@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +57,7 @@ class ExperimentConfig:
     observation: tuple = (1.0 / 3.0, 1.0)
     n_per_unit: int = 8
     alpha: float = 1.0
+    #: threads that run the model solves of a plan ahead of its evaluation
     workers: int = 2
 
     def resolved(self) -> "ExperimentConfig":
@@ -103,8 +104,6 @@ _MESH_MEMO_SIZE = 4
 _TRANSFER_MEMO_SIZE = 4
 _TRANSFERS_PER_KEY = 4096
 
-_transfer_lock = threading.Lock()
-
 
 @functools.lru_cache(maxsize=_MESH_MEMO_SIZE)
 def _benchmark_mesh(n_per_unit: int) -> bem.BoundaryMesh:
@@ -130,12 +129,13 @@ class BemImage:
     calls, which the planner's deduplicated total must match; ``solves``
     counts the solves this image actually ran, and ``flags`` holds the
     flags of :func:`bem.eval_interior` at the observation point once the
-    image has been called.
+    image has been called.  :meth:`solve_ahead` runs a plan's missing
+    solves across threads; the image, its counters and the memo are used
+    from the calling thread only.
     """
 
     def __init__(self, mesh: bem.BoundaryMesh, observation, behavior, alpha=1.0):
         self._counting = CountingImage(self._image)
-        self._lock = threading.Lock()
         self.mesh = mesh
         self.observation = tuple(observation)
         self.behavior = behavior
@@ -147,27 +147,49 @@ class BemImage:
     def calls(self) -> int:
         return self._counting.calls
 
+    def _solve(self, p: complex) -> tuple:
+        q = np.sqrt(p / self.alpha)
+        system = bem.assemble(self.mesh, q)
+        solution = bem.solve_boundary(system, self.mesh)
+        phi, grad, flags = bem.eval_interior(solution, self.mesh, self.observation)
+        transfer = np.array([phi, -grad[0]])
+        transfer.flags.writeable = False
+        return transfer, flags
+
     def _transfer(self, p: complex):
-        # lru_cache may build two dicts for threads that miss at once
-        with _transfer_lock:
-            transfers = _transfers(self.mesh, self.observation, self.alpha)
+        transfers = _transfers(self.mesh, self.observation, self.alpha)
         # bits, not value: -0.0 == 0.0, but sqrt takes its branch from the sign
         key = np.complex128(p).tobytes()
         entry = transfers.get(key)
         if entry is None:
-            q = np.sqrt(p / self.alpha)
-            system = bem.assemble(self.mesh, q)
-            solution = bem.solve_boundary(system, self.mesh)
-            phi, grad, flags = bem.eval_interior(solution, self.mesh, self.observation)
-            transfer = np.array([phi, -grad[0]])
-            transfer.flags.writeable = False
-            entry = (transfer, flags)
-            with self._lock:
-                self.solves += 1
-            # threads racing on one p store identical values
+            entry = self._solve(p)
+            self.solves += 1
             if len(transfers) < _TRANSFERS_PER_KEY:
-                entry = transfers.setdefault(key, entry)
+                transfers[key] = entry
         return entry
+
+    def solve_ahead(self, p_values, workers: int) -> None:
+        """Memoise the solves of the p in `p_values` that the memo lacks,
+        run across `workers` threads, so that calling the image on them
+        only reads the memo.  The same solves as calling the image, so
+        values, flags and ``solves`` are bit-identical; a solve that
+        raises is left for the image call to raise with its p.  With one
+        worker, or fewer than two such p, no thread starts.
+        """
+        if workers < 2:
+            return
+        transfers = _transfers(self.mesh, self.observation, self.alpha)
+        missing = {np.complex128(p).tobytes(): p for p in p_values}
+        missing = [(key, p) for key, p in missing.items() if key not in transfers]
+        missing = missing[:_TRANSFERS_PER_KEY - len(transfers)]
+        if len(missing) < 2:
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [(key, pool.submit(self._solve, p)) for key, p in missing]
+        for key, future in futures:
+            if future.exception() is None:
+                transfers[key] = future.result()
+                self.solves += 1
 
     def _image(self, p: complex):
         # the flags depend on the point only, so every p gives the same
@@ -252,7 +274,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for method in config.methods:
         image = BemImage(mesh, config.observation, behavior, config.alpha)
         plan = plan_samples(method, grid, config.terms, config.strategy)
-        samples = evaluate_image(plan, image, workers=config.workers)
+        image.solve_ahead(plan.p.tolist(), config.workers)
+        samples = evaluate_image(plan, image)
         result = invert_all(method, samples, grid)
         if image.calls != plan.total_evaluations:
             raise RuntimeError(

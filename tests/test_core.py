@@ -311,16 +311,37 @@ def test_evaluate_rejects_image_changing_shape():
     assert err.value.p == plan.p[1]
 
 
-def test_parallel_evaluation_bitwise_deterministic():
-    grid = make_time_grid(0.1, 10.0, 8)
-    plan = plan_samples("dehoog", grid, 31, SG)
-    image = lambda p: 1.0 / (p + 1.0) + 1.0 / (p + 3.0)
-    serial = evaluate_image(plan, image)
-    threaded = evaluate_image(plan, image, workers=4)
-    assert np.array_equal(serial.values, threaded.values)
-    r1 = invert_all("dehoog", serial, grid)
-    r2 = invert_all("dehoog", threaded, grid)
-    assert np.array_equal(r1.values, r2.values)
+def test_evaluate_calls_image_once_per_p_in_plan_order():
+    plan = plan_samples("stehfest", make_time_grid(0.1, 10.0, 8), 12, PTO)
+    calls = []
+
+    def image(p):
+        calls.append(p)
+        return 1.0 / (p + 1.0)
+
+    evaluate_image(plan, image)
+    assert calls == plan.p.tolist()
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_evaluate_error_names_the_failing_p(position):
+    plan = plan_samples("dehoog", make_time_grid(0.1, 10.0, 8), 31, SG)
+    p_list = plan.p.tolist()
+    failing = {"first": 0, "middle": len(p_list) // 2, "last": len(p_list) - 1}[position]
+    cause = RuntimeError("model blew up")
+    calls = []
+
+    def image(p):
+        calls.append(p)
+        if len(calls) == failing + 1:
+            raise cause
+        return 1.0 / p
+
+    with pytest.raises(ImageEvaluationError) as err:
+        evaluate_image(plan, image)
+    assert err.value.p == p_list[failing]
+    assert err.value.__cause__ is cause
+    assert calls == p_list[:failing + 1]
 
 
 # ---------------------------------------------------------------------------

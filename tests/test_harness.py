@@ -1,14 +1,15 @@
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
 
 from invlap import bem, cli, harness, oracles
-from invlap.core import (METHODS, PER_TIME_METHODS, SamplingStrategy,
-                         evaluate_image, make_time_grid, plan_samples)
+from invlap.core import (METHODS, PER_TIME_METHODS, ImageEvaluationError,
+                         SamplingStrategy, evaluate_image, make_time_grid,
+                         plan_samples)
 
 TINY = dict(n_times=5, n_per_unit=2, terms=5)
 
@@ -144,7 +145,7 @@ def test_shared_experiments_solve_each_p_once():
 
 
 def test_cold_cache_threaded_evaluation_bit_identical():
-    # every run starts on a freshly built mesh, so the evaluation threads
+    # every run starts on a freshly built mesh, so the solve-ahead threads
     # build its cached quadrature geometry concurrently
     grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
     plan = plan_samples("talbot", grid, 12, SamplingStrategy.SHARED_GLOBAL)
@@ -155,9 +156,9 @@ def test_cold_cache_threaded_evaluation_bit_identical():
         for workers in (1, 2, 4):
             image = harness.BemImage(bem.benchmark_rectangle_mesh(2), (0.6, 0.9),
                                      oracles.HEAVISIDE)
-            runs[workers] = evaluate_image(plan, image, workers=workers).values
+            image.solve_ahead(plan.p.tolist(), workers)
+            runs[workers] = evaluate_image(plan, image).values
             assert image.calls == plan.total_evaluations
-            # a plan's p are distinct, so no two threads solve the same one
             assert image.solves == plan.total_evaluations
     finally:
         sys.setswitchinterval(interval)
@@ -165,28 +166,83 @@ def test_cold_cache_threaded_evaluation_bit_identical():
     assert np.array_equal(runs[4], runs[1])
 
 
-def test_threads_racing_on_one_p_store_identical_transfers():
+def _count_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    harness._benchmark_mesh.cache_clear()
+    harness._transfers.cache_clear()
+    result = harness.run_experiment(harness.ExperimentConfig(experiment="A", workers=1, **TINY))
+    assert set(result.runs) == set(METHODS)
+    assert sum(run.model_solves for run in result.runs.values()) > 0
+
+
+def test_solve_ahead_threads_only_the_missing_solves(monkeypatch):
+    harness._benchmark_mesh.cache_clear()
+    harness._transfers.cache_clear()
+    config = harness.ExperimentConfig("B", methods=("talbot",), **TINY)
+    started = _count_thread_starts(monkeypatch)
+    cold = harness.run_experiment(config).runs["talbot"]
+    assert started and cold.model_solves == cold.evaluations_planned
+    started.clear()
+    warm = harness.run_experiment(config).runs["talbot"]
+    assert started == [] and warm.model_solves == 0
+    assert np.array_equal(warm.potential, cold.potential)
+
+
+def test_solve_ahead_keeps_the_memo_bound_and_the_solve_count(monkeypatch):
     grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
-    p = [complex(v) for v in plan_samples("dehoog", grid, 9, SamplingStrategy.SHARED_GLOBAL).p]
+    plan = plan_samples("talbot", grid, 5, SamplingStrategy.SHARED_GLOBAL)
     mesh = bem.benchmark_rectangle_mesh(2)
+    monkeypatch.setattr(harness, "_TRANSFERS_PER_KEY", 3)
     image = harness.BemImage(mesh, (0.6, 0.9), oracles.HEAVISIDE)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # four threads ask for every p at once
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            values = list(pool.map(image, [v for v in p for _ in range(4)], timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert image.calls == 4 * len(p)
-    assert len(p) <= image.solves <= 4 * len(p)
-    assert len(harness._transfers(mesh, (0.6, 0.9), 1.0)) == len(p)
-    serial = harness.BemImage(mesh, (0.6, 0.9), oracles.HEAVISIDE)
-    for i, v in enumerate(p):
-        expected = _uncached_image(mesh, (0.6, 0.9), oracles.HEAVISIDE, v)
-        assert all(np.array_equal(values[4 * i + k], expected) for k in range(4))
-        assert np.array_equal(serial(v), expected)
-    assert serial.solves == 0
+    image.solve_ahead(plan.p.tolist(), 2)
+    assert image.solves == 3
+    values = evaluate_image(plan, image).values
+    # the two p past the bound are solved, unstored, by the image calls
+    assert (image.calls, image.solves) == (5, 5)
+    assert len(harness._transfers(mesh, (0.6, 0.9), 1.0)) == 3
+    for v, value in zip(plan.p.tolist(), values):
+        assert np.array_equal(value, _uncached_image(mesh, (0.6, 0.9), oracles.HEAVISIDE, v))
+
+
+def test_failed_solve_ahead_raises_at_its_p(monkeypatch):
+    harness._benchmark_mesh.cache_clear()
+    harness._transfers.cache_clear()
+    config = harness.ExperimentConfig("B", methods=("talbot",), **TINY)
+    plan = plan_samples("talbot", make_time_grid(0.01, 10.0, 5, "logarithmic"), 5,
+                        SamplingStrategy.SHARED_GLOBAL)
+    bad_q = np.sqrt(plan.p[2])
+    solve = bem.solve_boundary
+    cause = RuntimeError("singular system")
+    bad_solves = []
+
+    def failing(system, mesh):
+        if system.q == bad_q:
+            bad_solves.append(system.q)
+            raise cause
+        return solve(system, mesh)
+
+    monkeypatch.setattr(bem, "solve_boundary", failing)
+    with pytest.raises(ImageEvaluationError) as err:
+        harness.run_experiment(config)
+    assert err.value.p == plan.p[2]
+    assert err.value.__cause__ is cause
+    # once ahead, in a thread, and once more by the image call that raises
+    assert len(bad_solves) == 2
 
 
 def test_experiment_accounting_and_flags(tiny_a):
