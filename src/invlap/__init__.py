@@ -9,7 +9,7 @@ of analytic reference oracles provide an end-to-end benchmark harness.
 """
 
 from .algorithms import (DeHoogParams, SchaperyParams, StehfestParams,
-                         TalbotParams, WeeksParams, dehoog_nodes,
+                         TalbotParams, WeeksParams, dehoog_invert, dehoog_nodes,
                          schapery_eval, schapery_fit, stehfest_invert,
                          stehfest_nodes, stehfest_weights, talbot_contour,
                          talbot_invert, weeks_coefficients, weeks_eval,
@@ -25,7 +25,7 @@ __all__ = [
     "InvalidStrategyError", "METHODS", "PlanMismatchError", "SamplePlan",
     "SampleSet", "SamplingStrategy", "SchaperyParams", "StehfestParams",
     "TalbotParams", "TimeGrid", "TimeSeriesResult", "WeeksParams",
-    "dehoog_nodes", "evaluate_image", "invert_all", "k01_values",
+    "dehoog_invert", "dehoog_nodes", "evaluate_image", "invert_all", "k01_values",
     "laguerre_sum", "make_time_grid", "plan_samples", "schapery_eval",
     "schapery_fit", "stehfest_invert", "stehfest_nodes", "stehfest_weights",
     "talbot_contour", "talbot_invert", "weeks_coefficients", "weeks_eval",

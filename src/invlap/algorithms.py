@@ -645,8 +645,8 @@ def _dehoog_eval(d: list, z: complex) -> complex:
 def _dehoog_direct(a: np.ndarray, t: float, params: DeHoogParams):
     """Unaccelerated trapezoid sum (the fallback path).
 
-    For gamma0 t up to the exp limit; :meth:`DeHoogTable.evaluate` flags
-    larger ones before reaching here.
+    For gamma0 t up to the exp limit; :func:`_dehoog_at` flags larger
+    ones before reaching here.
     """
     k = np.arange(a.shape[0])
     phase = np.exp(1j * k * np.pi * t / params.big_t)
@@ -710,25 +710,11 @@ def dehoog_batch(samples, params, times) -> tuple:
     return np.array(values).reshape((-1,) + vals.shape[2:]), flags
 
 
-class DeHoogTable:
-    """Continued-fraction representation of one sample vector.
+def dehoog_invert(samples, t: float, params: DeHoogParams):
+    """Accelerated Fourier series at t of fbar sampled at :func:`dehoog_nodes`.
 
-    samples holds fbar at :func:`dehoog_nodes`.  Building the
-    quotient-difference table depends only on the samples, so a single
-    table inverts every output time in a shared-sample sweep.
+    Returns (value, flags); see :func:`_dehoog_at` for the flags.  Every
+    time of a shared-sample sweep inverts from one quotient-difference
+    table in one :func:`dehoog_batch` call.
     """
-
-    def __init__(self, samples, params: DeHoogParams):
-        vals = np.asarray(samples, dtype=complex)
-        _check_count(vals[None], 2 * params.m_half + 1)
-        self.params = params
-        self.samples = vals
-        self.tables = _finite_tables(_qd_coefficients(vals.reshape(vals.shape[0], -1)))
-
-    def evaluate(self, t: float):
-        """(value, flags) at t; see :func:`_dehoog_at` for the flags."""
-        vals = self.samples
-        out, flags = _dehoog_at(self.tables, vals.reshape(vals.shape[0], -1), self.params, t)
-        if vals.ndim == 1:
-            return float(out[0]), flags
-        return out.reshape(vals.shape[1:]), flags
+    return _one_time(dehoog_batch, samples, params, t)

@@ -330,7 +330,7 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     """
     q = complex(q)
     if q.real <= 0:
-        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p/alpha)")
+        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p)")
     if q.imag == 0:
         q = q.real
     quad = mesh._assembly_quadrature

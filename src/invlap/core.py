@@ -203,17 +203,15 @@ def _dedup(nodes: list) -> tuple:
 
     Greedy in plan order over the complex node arrays: a node joins the
     earliest-made representative r with |v - r| <= DEDUP_RTOL * max(|v|, |r|),
-    or becomes a new one.  Any such r is within DEDUP_RTOL * |v| /
-    (1 - DEDUP_RTOL) of v in real and in imaginary part, so sorts by each
-    part and `searchsorted` give every node two candidate windows in
-    O(n log n).  The narrower one is used, since a vertical contour (de
-    Hoog, Weeks) shares one real part and the real axis one imaginary part,
-    and the rule is replayed in Python only for nodes with a candidate
-    besides themselves.  The windows are twice that bound, and at least
-    the smallest normal double, so that rounding cannot drop a candidate.
-    With an infinite modulus the rule holds at any distance, so a node of
-    infinite or NaN modulus has every earlier node as a candidate and is a
-    candidate of every later one.
+    or becomes a new one.  Any such r has ||v| - |r|| <= |v - r| <=
+    DEDUP_RTOL * |v| / (1 - DEDUP_RTOL), so one sort by modulus and
+    `searchsorted` give every node a window holding all its candidates in
+    O(n log n), and the rule is replayed in Python only for nodes with a
+    candidate besides themselves.  The window's half-width is twice that
+    bound, and at least the smallest normal double, so that rounding
+    cannot drop a candidate.  With an infinite modulus the rule holds at
+    any distance, so a node of infinite or NaN modulus has every earlier
+    node as a candidate and is a candidate of every later one.
     """
     flat = np.concatenate(nodes)
     n = flat.size
@@ -221,25 +219,18 @@ def _dedup(nodes: list) -> tuple:
         mod = np.abs(flat)
         finite = np.isfinite(mod)
         regular = np.flatnonzero(finite)
-        half = np.maximum(2.0 * DEDUP_RTOL * mod[regular], np.finfo(float).tiny)
-        windows = []
-        for part in (flat.real[regular], flat.imag[regular]):
-            order = np.argsort(part, kind="stable")
-            key = part[order]
-            windows.append((regular[order].tolist(),
-                            np.searchsorted(key, part - half, side="left"),
-                            np.searchsorted(key, part + half, side="right")))
-    (re_pos, re_lo, re_hi), (im_pos, im_lo, im_hi) = windows
-    use_im = im_hi - im_lo < re_hi - re_lo
-    lo = np.where(use_im, im_lo, re_lo)
-    hi = np.where(use_im, im_hi, re_hi)
+        order = regular[np.argsort(mod[regular], kind="stable")]
+        key = mod[order]
+        half = np.maximum(2.0 * DEDUP_RTOL * key, np.finfo(float).tiny)
+        lo = np.searchsorted(key, key - half, side="left")
+        hi = np.searchsorted(key, key + half, side="right")
 
     irregular = np.flatnonzero(~finite).tolist()
     crowded = np.flatnonzero(hi - lo > 1) if not irregular else np.arange(regular.size)
     candidates = {i: range(i) for i in irregular}
-    for i, a, b, im in zip(regular[crowded].tolist(), lo[crowded].tolist(),
-                           hi[crowded].tolist(), use_im[crowded].tolist()):
-        candidates[i] = sorted((im_pos if im else re_pos)[a:b] + irregular)
+    position = order.tolist()
+    for i, a, b in zip(order[crowded].tolist(), lo[crowded].tolist(), hi[crowded].tolist()):
+        candidates[i] = sorted(position[a:b] + irregular)
 
     rep = list(range(n))
     for i in sorted(candidates):

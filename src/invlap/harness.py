@@ -46,6 +46,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _check_methods(methods) -> None:
+    """Raise unless every method is known and named once."""
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is named twice")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -56,7 +65,6 @@ class ExperimentConfig:
     t_max: float = 10.0
     observation: tuple = (1.0 / 3.0, 1.0)
     n_per_unit: int = 8
-    alpha: float = 1.0
     #: threads that run the model solves of a plan ahead of its evaluation
     workers: int = 2
 
@@ -73,9 +81,7 @@ class ExperimentConfig:
             out = replace(out, methods=methods)
         if out.terms == 0:
             out = replace(out, terms=terms)
-        for m in out.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+        _check_methods(out.methods)
         per_time = [m for m in out.methods if m in PER_TIME_METHODS]
         if strategy is not SamplingStrategy.PER_TIME_OPTIMAL and per_time:
             raise ConfigError(f"{per_time[0]} cannot join shared-sample experiments: "
@@ -99,7 +105,7 @@ class ExperimentConfig:
 #: Benchmark meshes kept by density, so that every experiment at one
 #: density shares the transfer memo below.
 _MESH_MEMO_SIZE = 4
-#: (mesh, observation, alpha) keys whose transfers are kept, and the most
+#: (mesh, observation) keys whose transfers are kept, and the most
 #: transfers kept per key; past that, solves still run but are not stored.
 _TRANSFER_MEMO_SIZE = 4
 _TRANSFERS_PER_KEY = 4096
@@ -111,7 +117,7 @@ def _benchmark_mesh(n_per_unit: int) -> bem.BoundaryMesh:
 
 
 @functools.lru_cache(maxsize=_TRANSFER_MEMO_SIZE)
-def _transfers(mesh: bem.BoundaryMesh, observation: tuple, alpha: float) -> dict:
+def _transfers(mesh: bem.BoundaryMesh, observation: tuple) -> dict:
     """Bit pattern of p -> (transfer, eval_interior flags) for one key."""
     return {}
 
@@ -120,8 +126,8 @@ class BemImage:
     """Image function of the benchmark: observation potential and flux.
 
     The spatial transfer, potential and x-flux at the observation point
-    for the mesh's boundary values, depends on (mesh, observation, alpha,
-    p) only.  One boundary element solve per distinct p yields it (in
+    for the mesh's boundary values, depends on (mesh, observation, p)
+    only.  One boundary element solve per distinct p yields it (in
     float64 when p is real, see :func:`bem.assemble`), and a
     process-wide memo keeps it by the exact bits of p for every image on
     the same key, whatever its time behavior.  Each call multiplies the
@@ -134,12 +140,12 @@ class BemImage:
     from the calling thread only.
     """
 
-    def __init__(self, mesh: bem.BoundaryMesh, observation, behavior, alpha=1.0):
+    def __init__(self, mesh: bem.BoundaryMesh, observation, behavior):
         self._counting = CountingImage(self._image)
         self.mesh = mesh
         self.observation = tuple(observation)
         self.behavior = behavior
-        self.alpha = alpha
+        self._transfers = _transfers(mesh, self.observation)
         self.solves = 0
         self.flags = ()
 
@@ -148,8 +154,7 @@ class BemImage:
         return self._counting.calls
 
     def _solve(self, p: complex) -> tuple:
-        q = np.sqrt(p / self.alpha)
-        system = bem.assemble(self.mesh, q)
+        system = bem.assemble(self.mesh, np.sqrt(p))
         solution = bem.solve_boundary(system, self.mesh)
         phi, grad, flags = bem.eval_interior(solution, self.mesh, self.observation)
         transfer = np.array([phi, -grad[0]])
@@ -157,15 +162,14 @@ class BemImage:
         return transfer, flags
 
     def _transfer(self, p: complex):
-        transfers = _transfers(self.mesh, self.observation, self.alpha)
         # bits, not value: -0.0 == 0.0, but sqrt takes its branch from the sign
         key = np.complex128(p).tobytes()
-        entry = transfers.get(key)
+        entry = self._transfers.get(key)
         if entry is None:
             entry = self._solve(p)
             self.solves += 1
-            if len(transfers) < _TRANSFERS_PER_KEY:
-                transfers[key] = entry
+            if len(self._transfers) < _TRANSFERS_PER_KEY:
+                self._transfers[key] = entry
         return entry
 
     def solve_ahead(self, p_values, workers: int) -> None:
@@ -178,7 +182,7 @@ class BemImage:
         """
         if workers < 2:
             return
-        transfers = _transfers(self.mesh, self.observation, self.alpha)
+        transfers = self._transfers
         missing = {np.complex128(p).tobytes(): p for p in p_values}
         missing = [(key, p) for key, p in missing.items() if key not in transfers]
         missing = missing[:_TRANSFERS_PER_KEY - len(transfers)]
@@ -272,7 +276,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     runs = {}
     for method in config.methods:
-        image = BemImage(mesh, config.observation, behavior, config.alpha)
+        image = BemImage(mesh, config.observation, behavior)
         plan = plan_samples(method, grid, config.terms, config.strategy)
         image.solve_ahead(plan.p.tolist(), config.workers)
         samples = evaluate_image(plan, image)
@@ -307,7 +311,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         series = (np.array([s.potential for s in sv]),
                   np.array([s.flux for s in sv]))
         truncated = np.array([s.truncated for s in sv])
-    fd = oracles.crank_nicolson_1d(x_obs, grid, behavior, alpha=config.alpha)
+    fd = oracles.crank_nicolson_1d(x_obs, grid, behavior)
     result = ExperimentResult(config=config, grid=grid, runs=runs,
                               reference_series=series,
                               reference_fd=(fd.potential, fd.flux),
@@ -394,14 +398,15 @@ def run_pairs_benchmark(methods, pairs, terms: int | None, grid: TimeGrid) -> li
     across the grid.  Errors are pointwise relative to the true inverse,
     and absolute at times where the true inverse is 0 (the delayed step
     before its delay), where a relative error has no meaning.
-    ``terms=None`` plans each method at its :data:`PAIR_TERMS` order.
+    ``terms=None`` plans each method at its :data:`PAIR_TERMS` order.  A
+    method that is unknown or named twice is a ConfigError.
     """
+    _check_methods(methods)
     rows = []
     for method in methods:
         strategy = (SamplingStrategy.PER_TIME_OPTIMAL if method in PER_TIME_METHODS
                     else SamplingStrategy.SHARED_GLOBAL)
-        # an unknown method gets plan_samples' own error
-        plan = plan_samples(method, grid, PAIR_TERMS.get(method, 0) if terms is None else terms,
+        plan = plan_samples(method, grid, PAIR_TERMS[method] if terms is None else terms,
                             strategy)
         for pair in pairs:
             image = CountingImage(pair.image)

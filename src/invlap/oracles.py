@@ -182,6 +182,8 @@ def benchmark_time_series_1d(x: float, t: float, behavior: TimeBehavior,
     if behavior.name == COSINE4T.name:
         raise ValueError("no series solution for the oscillatory behavior; "
                          "use the finite difference reference")
+    if not 0.0 <= x <= BENCH_LENGTH:
+        raise ValueError(f"x must lie in [0, {BENCH_LENGTH}]")
     if t < 0:
         raise ValueError("t must be nonnegative")
     te = t - behavior.tau
@@ -227,8 +229,7 @@ CN_DT = 1e-3
 
 
 def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
-                      nx: int = 300, dt: float = CN_DT,
-                      alpha: float = 1.0) -> FdResult:
+                      nx: int = 300, dt: float = CN_DT) -> FdResult:
     """Second-order time march of the 1D benchmark diffusion problem.
 
     Crank-Nicolson on nx cells with two backward-Euler half-steps after
@@ -238,7 +239,7 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     -d(phi)/dx uses centered differences, one-sided at the rod ends.
 
     The implicit operator I + c T (T the Dirichlet second difference,
-    c = alpha dt / 2 h^2) is diagonal in the sine modes sin(j i pi / nx),
+    c = dt / 2 h^2) is diagonal in the sine modes sin(j i pi / nx),
     with eigenvalues 4 sin^2(j pi / 2 nx).  The rod ends carry -e and +e,
     which force only the even modes, and the march starts from rest, so
     each even mode follows a scalar recurrence and the odd modes stay
@@ -267,11 +268,7 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
         raise ValueError("dt exceeds the first output time")
 
     h = BENCH_LENGTH / nx
-    mu = alpha * dt / (h * h)
-    # a non-finite c would turn every mode into NaN without an error
-    if not math.isfinite(mu):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    c = 0.5 * mu
+    c = 0.5 * dt / (h * h)
 
     # step k marches from t_grid[k] to t_grid[k + 1]; a step that starts
     # at or just before a jump takes the two half-steps instead

@@ -4,7 +4,7 @@ Test-suite-only reference.  Each node, in plan order, is compared with
 every representative made so far, in the order they were made, and joins
 the first one within ``DEDUP_RTOL`` relative distance; a node that joins
 none becomes a new representative.  ``invlap.core._dedup`` finds the same
-candidates through a sort by real part, so the two must agree bit for bit:
+candidates through a sort by modulus, so the two must agree bit for bit:
 the distinct array, its order and every index array.
 """
 

@@ -216,10 +216,10 @@ def test_nonfinite_near_field_kernel_raises(monkeypatch):
 
 
 def _experiment_a_real_q():
-    """q = sqrt(p / alpha) of experiment A's Stehfest and Schapery plans."""
+    """q = sqrt(p) of experiment A's Stehfest and Schapery plans."""
     p = _planned_p("A", methods=("stehfest", "schapery"))
     assert np.all(p.imag == 0)
-    return np.sqrt(p.real / harness.ExperimentConfig("A").alpha)
+    return np.sqrt(p.real)
 
 
 def _complex_kernels(z):

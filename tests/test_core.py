@@ -190,6 +190,9 @@ _PIECES = st.one_of(
               st.sampled_from(_BASES), st.integers(3, 5)),
     st.builds(lambda base, n: [base + 0.9j * k * _RTOL * abs(base) for k in range(n)],
               st.sampled_from(_BASES), st.integers(3, 5)),
+    # distinct nodes of one modulus, which share one modulus window
+    st.builds(lambda base: [base * np.exp(1j * np.pi * k / 7) for k in range(5)],
+              st.sampled_from(_BASES)),
     st.sampled_from(_SPECIALS).map(lambda v: [v]),
 )
 _NODE_ARRAYS = st.lists(_PIECES, max_size=6).flatmap(
@@ -372,7 +375,7 @@ def _direct_inversion(method, samples, params):
     if method == "talbot":
         return lambda t: alg.talbot_invert(samples, t, params)
     assert method == "dehoog"
-    return alg.DeHoogTable(samples, params).evaluate
+    return lambda t: alg.dehoog_invert(samples, t, params)
 
 
 @pytest.mark.parametrize("method", core.METHODS)

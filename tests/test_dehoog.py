@@ -7,7 +7,7 @@ import reference_dehoog
 from invlap import algorithms as alg
 from invlap import oracles
 from invlap.algorithms import (FLAG_EXP_OVERFLOW, FLAG_QD_FALLBACK,
-                               DeHoogParams, DeHoogTable, _dehoog_direct,
+                               DeHoogParams, _dehoog_direct, dehoog_invert,
                                dehoog_nodes)
 from invlap.core import (SamplingStrategy, TimeGrid, evaluate_image,
                          invert_all, make_time_grid, plan_samples)
@@ -35,22 +35,21 @@ def test_nodes_on_vertical_contour():
 
 def test_inverts_ramp():
     params = DeHoogParams.rule_of_thumb(41, t_max=2.0)
-    value, flags = DeHoogTable(_samples(lambda p: 1.0 / p**2, params), params).evaluate(1.0)
+    value, flags = dehoog_invert(_samples(lambda p: 1.0 / p**2, params), 1.0, params)
     assert value == pytest.approx(1.0, abs=1e-8)
     assert flags == ()
 
 
 def test_inverts_cosine():
     params = DeHoogParams.rule_of_thumb(51, t_max=1.0)
-    value, flags = DeHoogTable(
-        _samples(lambda p: p / (p * p + 16.0), params), params).evaluate(1.0)
+    value, flags = dehoog_invert(_samples(lambda p: p / (p * p + 16.0), params), 1.0, params)
     assert value == pytest.approx(math.cos(4.0), abs=1e-6)
     assert flags == ()
 
 
 def test_zero_series_falls_back_to_direct_sum():
     params = DeHoogParams.rule_of_thumb(21, t_max=1.0)
-    value, flags = DeHoogTable(np.zeros(21, dtype=complex), params).evaluate(0.5)
+    value, flags = dehoog_invert(np.zeros(21, dtype=complex), 0.5, params)
     assert value == 0.0
     assert FLAG_QD_FALLBACK in flags
 
@@ -62,7 +61,7 @@ def test_acceleration_matches_long_direct_sum():
     t_max = 2.0
     params = DeHoogParams.rule_of_thumb(41, t_max)
     image = lambda p: 1.0 / (p * p + 1.0) ** 2  # (sin t - t cos t)/2
-    accel, _ = DeHoogTable(_samples(image, params), params).evaluate(1.0)
+    accel, _ = dehoog_invert(_samples(image, params), 1.0, params)
 
     m_big = 5000
     big = DeHoogParams(big_t=params.big_t, gamma0=params.gamma0, m_half=m_big)
@@ -72,19 +71,23 @@ def test_acceleration_matches_long_direct_sum():
 
 
 def test_table_reuse_matches_single_shot():
+    # one dehoog_batch call inverts several times from one table, bit for
+    # bit as dehoog_invert does at each time alone
     params = DeHoogParams.rule_of_thumb(31, t_max=3.0)
     samples = _samples(lambda p: 1.0 / (p + 0.5), params)
-    table = DeHoogTable(samples, params)
-    for t in (0.3, 1.0, 3.0):
-        one_shot, _ = DeHoogTable(samples, params).evaluate(t)
-        reused, _ = table.evaluate(t)
-        assert reused == one_shot
+    times = np.array([0.3, 1.0, 3.0])
+    values, flags = alg.dehoog_batch(samples[None], (params,), (times,))
+    assert len(values) == len(flags) == times.size
+    for t, value, tflags in zip(times.tolist(), values, flags):
+        one_shot, one_flags = dehoog_invert(samples, t, params)
+        assert value.tobytes() == one_shot.tobytes()
+        assert tflags == one_flags
 
 
 def test_sample_count_checked():
     params = DeHoogParams.rule_of_thumb(21, t_max=1.0)
     with pytest.raises(ValueError):
-        DeHoogTable(np.ones(20, dtype=complex), params)
+        dehoog_invert(np.ones(20, dtype=complex), 1.0, params)
 
 
 def test_parameter_validation():
@@ -98,7 +101,7 @@ def test_vector_channels():
     params = DeHoogParams.rule_of_thumb(31, t_max=2.0)
     p = dehoog_nodes(params)
     samples = np.column_stack([1.0 / p, 1.0 / (p + 1.0)])
-    value, flags = DeHoogTable(samples, params).evaluate(1.0)
+    value, flags = dehoog_invert(samples, 1.0, params)
     assert value.shape == (2,)
     assert value[0] == pytest.approx(1.0, abs=1e-7)
     assert value[1] == pytest.approx(math.exp(-1.0), abs=1e-7)
@@ -117,7 +120,7 @@ def test_exp_overflow_gives_flagged_nan_through_invert_all():
 
     params = plan.groups[0].params
     samples = np.column_stack([plan.p, plan.p])
-    value, flags = DeHoogTable(samples, params).evaluate(grid.t_max)
+    value, flags = dehoog_invert(samples, grid.t_max, params)
     assert value.shape == (2,) and np.all(np.isnan(value))
     assert flags == (FLAG_EXP_OVERFLOW,)
 
@@ -165,9 +168,8 @@ def test_only_the_broken_column_falls_back(monkeypatch):
         fallbacks.append(a.copy())
         return _dehoog_direct(a, t, params)
 
-    table = DeHoogTable(samples, params)
     monkeypatch.setattr(alg, "_dehoog_direct", direct)
-    value, flags = table.evaluate(1.0)
+    value, flags = dehoog_invert(samples, 1.0, params)
     assert flags == (FLAG_QD_FALLBACK,)
     assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], samples[:, 1])
     assert value[1] == 0.0
@@ -190,7 +192,7 @@ def test_table_matches_array_step_reference_bit_for_bit():
 
 
 def test_recurrence_matches_numpy_scalar_reference_bit_for_bit():
-    # finite tables only: DeHoogTable evaluates no other
+    # finite tables only: dehoog_batch evaluates no other
     rng = np.random.default_rng(15)
     draws = 0
     while draws < 3000:

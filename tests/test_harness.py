@@ -39,6 +39,10 @@ def test_unknown_experiment_and_method():
         harness.ExperimentConfig(experiment="Z").resolved()
     with pytest.raises(harness.ConfigError):
         harness.ExperimentConfig(experiment="A", methods=("piessens",)).resolved()
+    with pytest.raises(harness.ConfigError, match="'talbot' is named twice"):
+        harness.ExperimentConfig(experiment="B", methods=("talbot", "dehoog", "talbot")).resolved()
+    with pytest.raises(harness.ConfigError, match="'dehoog' is named twice"):
+        harness.run_pairs_benchmark(("dehoog", "dehoog"), (), None, make_time_grid(0.1, 1.0, 2))
 
 
 def test_negative_terms_rejected(tmp_path):
@@ -86,10 +90,6 @@ def test_bem_image_counts_solves():
     other(1.0 + 0.0j)
     assert np.array_equal(other(3.0), other(3.0))
     assert (other.calls, other.solves) == (3, 1)
-    # a different alpha is a different transfer
-    slow = harness.BemImage(mesh, (1.0, 1.0), oracles.HEAVISIDE, alpha=2.0)
-    assert not np.array_equal(slow(1.0 + 0.0j), v1)
-    assert slow.solves == 1
 
 
 def test_full_transfer_memo_still_solves(monkeypatch):
@@ -214,7 +214,7 @@ def test_solve_ahead_keeps_the_memo_bound_and_the_solve_count(monkeypatch):
     values = evaluate_image(plan, image).values
     # the two p past the bound are solved, unstored, by the image calls
     assert (image.calls, image.solves) == (5, 5)
-    assert len(harness._transfers(mesh, (0.6, 0.9), 1.0)) == 3
+    assert len(harness._transfers(mesh, (0.6, 0.9))) == 3
     for v, value in zip(plan.p.tolist(), values):
         assert np.array_equal(value, _uncached_image(mesh, (0.6, 0.9), oracles.HEAVISIDE, v))
 
@@ -460,6 +460,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli.main(["--experiment", "B", "--methods", "stehfest",
                      "--out", str(tmp_path)]) == 2
     assert cli.main(["--pairs", "--methods", "piessens", "--out", str(tmp_path)]) == 2
+    for mode in (["--experiment", "B"], ["--pairs"]):
+        capsys.readouterr()
+        assert cli.main(mode + ["--methods", "talbot,talbot", "--out", str(tmp_path)]) == 2
+        assert "'talbot' is named twice" in capsys.readouterr().err
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
     assert cli.main(["--config", str(bad)]) == 2

@@ -93,6 +93,10 @@ def test_laplace_domain_checks():
         benchmark_laplace_1d(-0.1, 1.0)
     with pytest.raises(ValueError):
         benchmark_laplace_1d(1.0, 0.0)
+    # the series would return a plausible potential outside the rod
+    for x in (-0.1, 3.5, 5.0, math.nan):
+        with pytest.raises(ValueError, match="x must lie"):
+            benchmark_time_series_1d(x, 1.0, HEAVISIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +197,6 @@ def test_fd_rejects_non_finite_data():
         lambda t: np.where(np.asarray(t) > 0.01, np.nan, 1.0))
     with pytest.raises(ValueError, match="not finite"):
         crank_nicolson_1d(1.0, np.array([0.05]), late_nan, nx=32)
-    with pytest.raises(ValueError, match="alpha"):
-        crank_nicolson_1d(1.0, np.array([0.05]), HEAVISIDE, nx=32, alpha=np.inf)
 
 
 def test_fd_keeps_no_per_step_state():
