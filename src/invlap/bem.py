@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,13 @@ FLAG_NEAR_BOUNDARY = "near-boundary"
 FLAG_OUTSIDE_DOMAIN = "outside-domain"
 
 
+#: The shipped benchmark: a length x height rectangle, potential -/+
+#: amplitude on its short ends and insulated long sides.
+BENCH_LENGTH = 3.0
+BENCH_HEIGHT = 2.0
+BENCH_AMPLITUDE = 2.0
+
+
 class SingularSystemError(RuntimeError):
     """Dense boundary system could not be solved."""
 
@@ -51,9 +58,13 @@ class SingularSystemError(RuntimeError):
 class BoundaryMesh:
     """Closed counterclockwise perimeter of straight constant elements.
 
-    Arrays are aligned by element: segment start/end points, midpoints,
-    outward unit normals, lengths, a condition tag per element, and the
-    spatial boundary value carried by that condition.
+    Element i runs from starts[i] to starts[i + 1], the last one back to
+    starts[0], and carries the condition bc_kind[i] with the spatial value
+    bc_value[i].  ``ends``, ``midpoints``, unit ``tangents``, outward unit
+    ``normals``, ``lengths`` and the Dirichlet mask ``is_dirichlet`` are
+    derived from these fields.  Every mesh is checked when built: n >= 3
+    finite 2-D starts, positive lengths, a counterclockwise traversal
+    (positive shoelace area), one known kind and one value per element.
 
     The quadrature geometry of :func:`assemble` and :func:`eval_interior`
     is built from these arrays on first use and kept on the mesh, so the
@@ -62,45 +73,50 @@ class BoundaryMesh:
     """
 
     starts: np.ndarray
-    ends: np.ndarray
-    midpoints: np.ndarray
-    normals: np.ndarray
-    tangents: np.ndarray
-    lengths: np.ndarray
     bc_kind: tuple
     bc_value: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        starts = np.array(self.starts, dtype=float)
+        if starts.ndim != 2 or starts.shape[1] != 2 or starts.shape[0] < 3:
+            raise ValueError(f"starts must have shape (n, 2) with n >= 3, not {starts.shape}")
+        if not np.all(np.isfinite(starts)):
+            raise ValueError("starts must be finite")
+        n = starts.shape[0]
+        kinds = tuple(self.bc_kind)
+        values = np.array(self.bc_value, dtype=float)
+        if len(kinds) != n or values.shape != (n,):
+            raise ValueError(f"need one boundary condition kind and value per element "
+                             f"({n}), got {len(kinds)} and shape {values.shape}")
+        for k in set(kinds) - {DIRICHLET, NEUMANN}:
+            raise ValueError(f"unknown boundary condition kind {k!r}")
+        ends = np.roll(starts, -1, axis=0)
+        seg = ends - starts
+        lengths = np.linalg.norm(seg, axis=1)
+        if not np.all(lengths > 0):
+            raise ValueError("element lengths must be positive")
+        if not np.sum(starts[:, 0] * ends[:, 1] - ends[:, 0] * starts[:, 1]) > 0:
+            raise ValueError("perimeter must run counterclockwise")
+        tangents = seg / lengths[:, None]
+        derived = {
+            "starts": starts, "bc_kind": kinds, "bc_value": values, "ends": ends,
+            "midpoints": 0.5 * (starts + ends), "tangents": tangents,
+            "normals": np.column_stack([tangents[:, 1], -tangents[:, 0]]),
+            "lengths": lengths, "is_dirichlet": np.array([k == DIRICHLET for k in kinds]),
+        }
+        for name, value in derived.items():
             if isinstance(value, np.ndarray):
-                value = value.copy()
                 value.flags.writeable = False
-                object.__setattr__(self, f.name, value)
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        # rebuild through the constructor, so a copy is read-only too and
-        # starts without the cached geometry
-        return BoundaryMesh, tuple(getattr(self, f.name) for f in fields(self))
+        # rebuild through the constructor, so a copy is checked and
+        # read-only too and starts without the cached geometry
+        return BoundaryMesh, (self.starts, self.bc_kind, self.bc_value)
 
     @property
     def n_elements(self) -> int:
         return self.lengths.size
-
-    def validate(self):
-        n = self.n_elements
-        if np.any(self.lengths <= 0):
-            raise ValueError("element lengths must be positive")
-        norms = np.linalg.norm(self.normals, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-12):
-            raise ValueError("normals must be unit vectors")
-        if not np.allclose(self.ends, np.roll(self.starts, -1, axis=0), atol=1e-12):
-            raise ValueError("perimeter must be closed and ordered")
-        if len(self.bc_kind) != n or self.bc_value.size != n:
-            raise ValueError("boundary condition arrays must match element count")
-        for k in self.bc_kind:
-            if k not in (DIRICHLET, NEUMANN):
-                raise ValueError(f"unknown boundary condition kind {k!r}")
 
     def contains(self, point) -> bool:
         """Whether point is finite and strictly inside the perimeter.
@@ -131,8 +147,10 @@ def discretize_rectangle(width: float, height: float, n_per_unit: int,
     """Mesh the rectangle [0,w] x [0,h] with uniform elements per side.
 
     `bc` maps each of 'bottom', 'right', 'top', 'left' to a
-    (kind, spatial value) pair with kind 'dirichlet' or 'neumann'.
+    (kind, spatial value) pair with kind 'dirichlet' or 'neumann'; the
+    mesh checks the kinds.
     """
+    # two negative sides pass the mesh's checks, with the side names swapped
     if width <= 0 or height <= 0:
         raise ValueError("rectangle dimensions must be positive")
     if n_per_unit < 1:
@@ -147,42 +165,27 @@ def discretize_rectangle(width: float, height: float, n_per_unit: int,
         "top": (np.array([width, height]), np.array([0.0, height])),
         "left": (np.array([0.0, height]), np.array([0.0, 0.0])),
     }
-    starts, ends, kinds, values = [], [], [], []
+    starts, kinds, values = [], [], []
     for side in _SIDE_ORDER:
         kind, value = bc[side]
-        if kind not in (DIRICHLET, NEUMANN):
-            raise ValueError(f"side {side!r}: unknown condition kind {kind!r}")
         a, b = corners[side]
         m = int(round(np.linalg.norm(b - a) * n_per_unit))
         if m < 1:
             raise ValueError(f"side {side!r} resolves to zero elements")
         fractions = np.linspace(0.0, 1.0, m + 1)
-        pts = a[None, :] + fractions[:, None] * (b - a)[None, :]
-        starts.append(pts[:-1])
-        ends.append(pts[1:])
+        starts.append(a[None, :] + fractions[:-1, None] * (b - a)[None, :])
         kinds.extend([kind] * m)
         values.extend([float(value)] * m)
-
-    starts = np.vstack(starts)
-    ends = np.vstack(ends)
-    seg = ends - starts
-    lengths = np.linalg.norm(seg, axis=1)
-    tangents = seg / lengths[:, None]
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    midpoints = 0.5 * (starts + ends)
-    mesh = BoundaryMesh(starts=starts, ends=ends, midpoints=midpoints,
-                        normals=normals, tangents=tangents, lengths=lengths,
-                        bc_kind=tuple(kinds), bc_value=np.array(values))
-    mesh.validate()
-    return mesh
+    return BoundaryMesh(np.vstack(starts), tuple(kinds), np.array(values))
 
 
 def benchmark_rectangle_mesh(n_per_unit: int = 8) -> BoundaryMesh:
-    """The 3 x 2 test rectangle: potential -2|+2 at the short ends,
-    insulated long sides."""
-    return discretize_rectangle(3.0, 2.0, n_per_unit, {
-        "left": (DIRICHLET, -2.0),
-        "right": (DIRICHLET, 2.0),
+    """The BENCH_LENGTH x BENCH_HEIGHT test rectangle: potential
+    -BENCH_AMPLITUDE|+BENCH_AMPLITUDE at the short ends, insulated long
+    sides."""
+    return discretize_rectangle(BENCH_LENGTH, BENCH_HEIGHT, n_per_unit, {
+        "left": (DIRICHLET, -BENCH_AMPLITUDE),
+        "right": (DIRICHLET, BENCH_AMPLITUDE),
         "bottom": (NEUMANN, 0.0),
         "top": (NEUMANN, 0.0),
     })
@@ -362,7 +365,7 @@ def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh) -> BoundarySolut
     n = mesh.n_elements
     if system.h.shape != (n, n):
         raise ValueError("system was assembled for a different mesh")
-    dir_mask = np.array([k == DIRICHLET for k in mesh.bc_kind])
+    dir_mask = mesh.is_dirichlet
     phi = np.zeros(n, dtype=system.g.dtype)
     flux = np.zeros(n, dtype=system.g.dtype)
     phi[dir_mask] = mesh.bc_value[dir_mask]

@@ -118,7 +118,6 @@ class SamplePlan:
     """All distinct Laplace parameters a (method, grid, strategy) run needs."""
 
     method: str
-    strategy: SamplingStrategy
     grid: TimeGrid
     p: np.ndarray
     groups: tuple
@@ -140,13 +139,12 @@ class SampleSet:
 
 @dataclass
 class TimeSeriesResult:
-    """Inverted values plus per-time diagnostics and the plan behind them."""
+    """Inverted values plus per-time diagnostics."""
 
     method: str
     times: np.ndarray
     values: np.ndarray
     flags: tuple
-    plan: SamplePlan
 
 
 @dataclass(frozen=True)
@@ -299,8 +297,7 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
         PlanGroup(params=g_params, node_indices=idx, time_indices=part)
         for (g_params, part), idx in zip(groups, index_arrays)
     )
-    return SamplePlan(method=method, strategy=strategy, grid=grid, p=distinct,
-                      groups=plan_groups,
+    return SamplePlan(method=method, grid=grid, p=distinct, groups=plan_groups,
                       raw_evaluations=sum(nodes.size for nodes in node_lists))
 
 
@@ -375,7 +372,7 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
             flags[ti] = tflags
 
     return TimeSeriesResult(method=method, times=times, values=values,
-                            flags=tuple(flags), plan=plan)
+                            flags=tuple(flags))
 
 
 class CountingImage:

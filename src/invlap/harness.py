@@ -122,7 +122,7 @@ def _transfers(mesh: bem.BoundaryMesh, observation: tuple) -> dict:
     return {}
 
 
-class BemImage:
+class BemImage(CountingImage):
     """Image function of the benchmark: observation potential and flux.
 
     The spatial transfer, potential and x-flux at the observation point
@@ -131,27 +131,24 @@ class BemImage:
     float64 when p is real, see :func:`bem.assemble`), and a
     process-wide memo keeps it by the exact bits of p for every image on
     the same key, whatever its time behavior.  Each call multiplies the
-    transfer by the behavior's image fbar_t(p).  ``calls`` counts image
-    calls, which the planner's deduplicated total must match; ``solves``
-    counts the solves this image actually ran, and ``flags`` holds the
-    flags of :func:`bem.eval_interior` at the observation point once the
-    image has been called.  :meth:`solve_ahead` runs a plan's missing
+    transfer by the behavior's image fbar_t(p).  ``calls``, inherited from
+    :class:`CountingImage`, counts image calls, which the planner's
+    deduplicated total must match; ``solves`` counts the solves this image
+    actually ran, and ``flags`` holds the flags of
+    :func:`bem.eval_interior` at the observation point once the image has
+    been called.  :meth:`solve_ahead` runs a plan's missing
     solves across threads; the image, its counters and the memo are used
     from the calling thread only.
     """
 
     def __init__(self, mesh: bem.BoundaryMesh, observation, behavior):
-        self._counting = CountingImage(self._image)
+        super().__init__(self._image)
         self.mesh = mesh
         self.observation = tuple(observation)
         self.behavior = behavior
         self._transfers = _transfers(mesh, self.observation)
         self.solves = 0
         self.flags = ()
-
-    @property
-    def calls(self) -> int:
-        return self._counting.calls
 
     def _solve(self, p: complex) -> tuple:
         system = bem.assemble(self.mesh, np.sqrt(p))
@@ -199,9 +196,6 @@ class BemImage:
         # the flags depend on the point only, so every p gives the same
         transfer, self.flags = self._transfer(p)
         return transfer * self.behavior.image(p)
-
-    def __call__(self, p: complex):
-        return self._counting(p)
 
 
 @dataclass
@@ -260,10 +254,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     evaluation accounting.  The mesh is shared per density within the
     process, so a p already solved at this point, by any method or
     experiment, costs no new model solve.  Reference columns come from the
-    eigenfunction series (step-type behaviors) and the Crank-Nicolson
-    march; the summary measures errors against the series, and against
-    the march at times where the series is truncated.  An observation
-    point not strictly inside the mesh is a ConfigError.
+    eigenfunction series (the behaviors of oracles.SERIES_BEHAVIORS) and
+    the Crank-Nicolson march; the summary measures errors against the
+    series, and against the march at times where the series is truncated.
+    An observation point not strictly inside the mesh is a ConfigError.
     """
     config = config.resolved()
     behavior = config.behavior
@@ -306,7 +300,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
 
     series = truncated = None
-    if behavior.name != oracles.COSINE4T.name:
+    if behavior in oracles.SERIES_BEHAVIORS:
         sv = [oracles.benchmark_time_series_1d(x_obs, t, behavior) for t in grid.times]
         series = (np.array([s.potential for s in sv]),
                   np.array([s.flux for s in sv]))

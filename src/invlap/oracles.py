@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import _EXP_LIMIT
+from .bem import BENCH_AMPLITUDE, BENCH_LENGTH
 from .core import TimeGrid
 
-#: Domain length and boundary data of the benchmark problem.
-BENCH_LENGTH = 3.0
-BENCH_MID = 1.5
-BENCH_AMPLITUDE = 2.0
+#: Centre of the rod, where the benchmark potential is zero.
+BENCH_MID = BENCH_LENGTH / 2
 
 #: Steady potential profile of the benchmark: (4/3) x - 2.
 STEADY_SLOPE = 2.0 * BENCH_AMPLITUDE / BENCH_LENGTH
@@ -65,7 +65,13 @@ DELAY_TAU = 0.08
 
 
 def _delayed_image(p):
-    return np.exp(-DELAY_TAU * p) / p
+    z = -DELAY_TAU * p
+    if z.real < _EXP_LIMIT:
+        return np.exp(z) / p
+    # Talbot's far-left nodes overflow exp(z), and invert_all flags that
+    # sample; errstate costs thrice the image, so only these p take it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(z) / p
 
 
 def _delayed_time(t):
@@ -79,6 +85,10 @@ DELAYED_STEP = TimeBehavior("delayed-step", _delayed_image, _delayed_time,
                             tau=DELAY_TAU)
 
 BEHAVIORS = {b.name: b for b in (HEAVISIDE, COSINE4T, DELAYED_STEP)}
+
+#: The behaviours :func:`benchmark_time_series_1d` solves: the step and
+#: the delayed step.
+SERIES_BEHAVIORS = (HEAVISIDE, DELAYED_STEP)
 
 
 def pair_catalog() -> tuple:
@@ -102,24 +112,35 @@ def pair_catalog() -> tuple:
     )
 
 
-def _sinh_ratio(a: float, q: complex) -> complex:
-    """2 sinh(q a) / sinh(q B), B = 1.5, computed overflow-free for large q."""
-    b = BENCH_MID
-    sgn = 1.0 if a >= 0 else -1.0
-    aa = abs(a)
-    # exp-scaled form; Re(q) > 0 keeps both exponentials bounded
-    num = 1.0 - np.exp(-2.0 * q * aa)
-    den = 1.0 - np.exp(-2.0 * q * b)
-    return sgn * 2.0 * np.exp(q * (aa - b)) * num / den
+def _check_x(x: float, name: str = "x") -> None:
+    """Raise unless x lies on the rod [0, BENCH_LENGTH]; NaN fails too."""
+    if not 0.0 <= x <= BENCH_LENGTH:
+        raise ValueError(f"{name} must lie in [0, {BENCH_LENGTH}]")
 
 
-def _cosh_ratio(a: float, q: complex) -> complex:
-    """2 q cosh(q a) / sinh(q B), stable companion for the flux."""
-    b = BENCH_MID
-    aa = abs(a)
-    num = 1.0 + np.exp(-2.0 * q * aa)
-    den = 1.0 - np.exp(-2.0 * q * b)
-    return 2.0 * q * np.exp(q * (aa - b)) * num / den
+def _laplace_1d(x: float, p: complex, behavior: TimeBehavior | None) -> tuple:
+    """Transformed potential and flux of the benchmark at position x.
+
+    With B = BENCH_MID, A = BENCH_AMPLITUDE, a = |x - B| and q = sqrt(p):
+    A sinh(q (x - B)) / sinh(q B) and its -d/dx, -A q cosh(q a) / sinh(q B),
+    times fbar_t(p), in an exp-scaled form that Re(q) > 0 keeps bounded.
+    """
+    _check_x(x)
+    p = complex(p)
+    if p == 0:
+        raise ValueError("p = 0 is singular")
+    q = np.sqrt(p)
+    amplitude = math.copysign(BENCH_AMPLITUDE, x - BENCH_MID)
+    a = abs(x - BENCH_MID)
+    decay = np.exp(-2.0 * q * a)
+    den = 1.0 - np.exp(-2.0 * q * BENCH_MID)
+    scale = np.exp(q * (a - BENCH_MID))
+    potential = amplitude * scale * (1.0 - decay) / den
+    flux = -(BENCH_AMPLITUDE * q * scale * (1.0 + decay) / den)
+    if behavior is not None:
+        fbar = behavior.image(p)
+        potential, flux = potential * fbar, flux * fbar
+    return complex(potential), complex(flux)
 
 
 def benchmark_laplace_1d(x: float, p: complex, behavior: TimeBehavior | None = None) -> complex:
@@ -128,31 +149,13 @@ def benchmark_laplace_1d(x: float, p: complex, behavior: TimeBehavior | None = N
     phibar(x) = fbar_t(p) * 2 sinh(q (x - 1.5)) / sinh(1.5 q), q = sqrt(p).
     behavior=None returns the bare spatial transfer (fbar_t = 1).
     """
-    if not 0.0 <= x <= BENCH_LENGTH:
-        raise ValueError(f"x must lie in [0, {BENCH_LENGTH}]")
-    p = complex(p)
-    if p == 0:
-        raise ValueError("p = 0 is singular")
-    q = np.sqrt(p)
-    val = _sinh_ratio(x - BENCH_MID, q)
-    if behavior is not None:
-        val = val * behavior.image(p)
-    return complex(val)
+    return _laplace_1d(x, p, behavior)[0]
 
 
 def benchmark_laplace_1d_flux(x: float, p: complex, behavior: TimeBehavior | None = None) -> complex:
     """Transformed flux -d(phibar)/dx at position x (same sign convention
     as the harness output)."""
-    if not 0.0 <= x <= BENCH_LENGTH:
-        raise ValueError(f"x must lie in [0, {BENCH_LENGTH}]")
-    p = complex(p)
-    if p == 0:
-        raise ValueError("p = 0 is singular")
-    q = np.sqrt(p)
-    val = -_cosh_ratio(x - BENCH_MID, q)
-    if behavior is not None:
-        val = val * behavior.image(p)
-    return complex(val)
+    return _laplace_1d(x, p, behavior)[1]
 
 
 @dataclass(frozen=True)
@@ -173,18 +176,18 @@ def benchmark_time_series_1d(x: float, t: float, behavior: TimeBehavior,
                              n_terms: int = 200) -> SeriesValue:
     """Eigenfunction series for the benchmark potential and flux at (x, t).
 
-    phi(x, t) = (4/3) x - 2 + sum_m (4 / m pi) sin(2 m pi x / 3)
-                exp(-(2 m pi / 3)^2 t);
-    the flux is -d(phi)/dx.  The delayed step is the Heaviside solution
-    shifted by tau (exactly zero before the delay).  Only step-type
-    behaviors have this closed form.
+    phi(x, t) = (2A/L) x - A + sum_m (2A / m pi) sin(2 m pi x / L)
+                exp(-(2 m pi / L)^2 t)
+    with L = BENCH_LENGTH and A = BENCH_AMPLITUDE (3 and 2); the flux is
+    -d(phi)/dx.  The delayed step is the Heaviside solution shifted by tau
+    (exactly zero before the delay).  Only the behaviours of
+    SERIES_BEHAVIORS have this closed form; any other raises ValueError.
     """
-    if behavior.name == COSINE4T.name:
-        raise ValueError("no series solution for the oscillatory behavior; "
+    if behavior not in SERIES_BEHAVIORS:
+        raise ValueError(f"no series solution for the behavior {behavior.name!r}; "
                          "use the finite difference reference")
-    if not 0.0 <= x <= BENCH_LENGTH:
-        raise ValueError(f"x must lie in [0, {BENCH_LENGTH}]")
-    if t < 0:
+    _check_x(x)
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     te = t - behavior.tau
     if te <= 0:
@@ -194,14 +197,14 @@ def benchmark_time_series_1d(x: float, t: float, behavior: TimeBehavior,
     decay = np.exp(-lam * te)
     sines = np.sin(2.0 * m * np.pi * x / BENCH_LENGTH)
     cosines = np.cos(2.0 * m * np.pi * x / BENCH_LENGTH)
-    coeff = 4.0 / (m * np.pi)
+    coeff = 2.0 * BENCH_AMPLITUDE / (m * np.pi)
     pot = STEADY_SLOPE * x - BENCH_AMPLITUDE + float(np.sum(coeff * sines * decay))
-    flux = -STEADY_SLOPE - (8.0 / BENCH_LENGTH) * float(np.sum(cosines * decay))
+    flux = -STEADY_SLOPE - (2.0 * STEADY_SLOPE) * float(np.sum(cosines * decay))
     # next-term bound with a geometric tail estimate; the flux series has
     # the larger terms so it controls
     lam_next = (2.0 * (n_terms + 1) * np.pi / BENCH_LENGTH) ** 2
     gap = math.exp(-(lam_next - (2.0 * n_terms * np.pi / BENCH_LENGTH) ** 2) * te)
-    tail = (8.0 / BENCH_LENGTH) * math.exp(-lam_next * te)
+    tail = (2.0 * STEADY_SLOPE) * math.exp(-lam_next * te)
     bound = tail / max(1.0 - gap, 1e-3)
     return SeriesValue(pot, flux, bound, bound > SERIES_BOUND_TOL)
 
@@ -254,11 +257,10 @@ def crank_nicolson_1d(x_obs: float, times, behavior: TimeBehavior,
     needs boundary data at, so it must accept an array.
     """
     t_out = times.times if isinstance(times, TimeGrid) else np.asarray(times, dtype=float)
-    if not 0.0 <= x_obs <= BENCH_LENGTH:
-        raise ValueError(f"x_obs must lie in [0, {BENCH_LENGTH}]")
+    _check_x(x_obs, "x_obs")
     if nx < 16:
         raise ValueError("nx must be >= 16")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if (t_out.ndim != 1 or t_out.size == 0 or not np.all(np.isfinite(t_out))
             or np.any(np.diff(t_out) <= 0)):

@@ -191,4 +191,4 @@ def invert_all(method: str, samples, grid) -> TimeSeriesResult:
             out_flags[ti] = tuple(tflags)
 
     return TimeSeriesResult(method=method, times=times, values=out_values,
-                            flags=tuple(out_flags), plan=plan)
+                            flags=tuple(out_flags))

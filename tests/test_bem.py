@@ -50,11 +50,54 @@ def test_left_side_normals_point_outward():
 
 def test_perimeter_closed_ccw():
     mesh = bem.benchmark_rectangle_mesh(2)
-    mesh.validate()
+    # every element array follows from the starts
+    assert np.array_equal(mesh.ends, np.roll(mesh.starts, -1, axis=0))
+    assert np.array_equal(mesh.midpoints, 0.5 * (mesh.starts + mesh.ends))
+    # outward normals are the tangents turned clockwise
+    assert np.array_equal(mesh.normals, mesh.tangents @ np.array([[0.0, -1.0], [1.0, 0.0]]))
     # shoelace area of the traversal must be positive (counterclockwise)
     area = 0.5 * np.sum(mesh.starts[:, 0] * mesh.ends[:, 1]
                         - mesh.ends[:, 0] * mesh.starts[:, 1])
     assert area == pytest.approx(6.0)
+    copy = bem.BoundaryMesh(mesh.starts, mesh.bc_kind, mesh.bc_value)
+    for name in _MESH_ARRAYS:
+        assert np.array_equal(getattr(copy, name), getattr(mesh, name))
+
+
+def _misspelled(starts, kinds, values):
+    return starts, ["dirchlet" if k == bem.DIRICHLET else k for k in kinds], values
+
+
+def _clockwise(starts, kinds, values):
+    return starts[::-1], kinds[::-1], values[::-1]
+
+
+def _repeated_vertex(starts, kinds, values):
+    return (np.insert(starts, 1, starts[1], axis=0), kinds[:1] + kinds,
+            np.insert(values, 0, values[0]))
+
+
+def _nan_vertex(starts, kinds, values):
+    starts[3, 1] = np.nan
+    return starts, kinds, values
+
+
+def _short_values(starts, kinds, values):
+    return starts, kinds, values[:-1]
+
+
+def _three_columns(starts, kinds, values):
+    return np.column_stack([starts, np.zeros(len(starts))]), kinds, values
+
+
+@pytest.mark.parametrize("corrupt", [_misspelled, _clockwise, _repeated_vertex, _nan_vertex,
+                                     _short_values, _three_columns])
+def test_directly_built_mesh_is_validated(corrupt):
+    mesh = bem.benchmark_rectangle_mesh(2)
+    starts, kinds, values = corrupt(np.array(mesh.starts), list(mesh.bc_kind),
+                                    np.array(mesh.bc_value))
+    with pytest.raises(ValueError):
+        bem.BoundaryMesh(starts, tuple(kinds), values)
 
 
 def test_bad_bc_spec_rejected():
@@ -64,6 +107,14 @@ def test_bad_bc_spec_rejected():
         bem.discretize_rectangle(3.0, 2.0, 2, {
             "left": ("robin", 0.0), "right": (bem.DIRICHLET, 0.0),
             "top": (bem.NEUMANN, 0.0), "bottom": (bem.NEUMANN, 0.0)})
+
+
+@pytest.mark.parametrize("width, height", [(-3.0, 2.0), (-3.0, -2.0), (0.0, 2.0)])
+def test_rectangle_sides_must_be_positive(width, height):
+    bc = {"left": (bem.DIRICHLET, -2.0), "right": (bem.DIRICHLET, 2.0),
+          "top": (bem.NEUMANN, 0.0), "bottom": (bem.NEUMANN, 0.0)}
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        bem.discretize_rectangle(width, height, 2, bc)
 
 
 def test_used_mesh_pickles():
@@ -77,7 +128,7 @@ def test_used_mesh_pickles():
 
 
 _MESH_ARRAYS = ("starts", "ends", "midpoints", "normals", "tangents", "lengths",
-                "bc_value")
+                "bc_value", "is_dirichlet")
 
 
 def _assert_arrays_read_only(mesh):
@@ -89,11 +140,13 @@ def _assert_arrays_read_only(mesh):
 def test_mesh_arrays_read_only(mesh2):
     _assert_arrays_read_only(mesh2)
     # a mesh built from writeable arrays keeps read-only copies of them
-    arrays = {name: np.array(getattr(mesh2, name)) for name in _MESH_ARRAYS}
-    mesh = bem.BoundaryMesh(bc_kind=mesh2.bc_kind, **arrays)
+    starts, values = np.array(mesh2.starts), np.array(mesh2.bc_value)
+    mesh = bem.BoundaryMesh(starts, mesh2.bc_kind, values)
     _assert_arrays_read_only(mesh)
-    arrays["lengths"][0] = 1.0
-    assert mesh.lengths[0] == mesh2.lengths[0]
+    starts[0] = 1.0
+    values[0] = 1.0
+    assert np.array_equal(mesh.starts, mesh2.starts)
+    assert np.array_equal(mesh.bc_value, mesh2.bc_value)
 
 
 def test_mesh_hashes_and_compares_by_identity():

@@ -230,8 +230,7 @@ def test_dedup_sound_for_inversion():
                                      node_indices=np.arange(offset, offset + nodes.size),
                                      time_indices=g.time_indices))
         offset += nodes.size
-    plan_raw = SamplePlan(method="stehfest", strategy=PTO, grid=grid,
-                          p=p_raw, groups=tuple(groups),
+    plan_raw = SamplePlan(method="stehfest", grid=grid, p=p_raw, groups=tuple(groups),
                           raw_evaluations=p_raw.size)
 
     image = lambda p: 1.0 / (p + 1.0)
@@ -271,7 +270,7 @@ def test_evaluate_simple_values():
     # a 2-channel image keeps its channels, and exp(-0.08 p) / p its value
     # at p = -200, off every contour
     p = np.array([-200.0, 1.0], dtype=complex)
-    plan = SamplePlan(method="talbot", strategy=SG, grid=grid, p=p,
+    plan = SamplePlan(method="talbot", grid=grid, p=p,
                       groups=(core.PlanGroup(params=alg.TalbotParams(1.0, p.size),
                                              node_indices=np.arange(p.size),
                                              time_indices=np.array([0])),),

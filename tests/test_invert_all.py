@@ -221,6 +221,6 @@ def test_groups_of_different_node_counts_are_rejected():
     p = np.concatenate([alg.stehfest_nodes(t, par) for t, par in zip(grid.times, params)])
     groups = (PlanGroup(params[0], np.arange(4), np.array([0])),
               PlanGroup(params[1], np.arange(4, 10), np.array([1])))
-    plan = SamplePlan("stehfest", PTO, grid, p.astype(complex), groups, p.size)
+    plan = SamplePlan("stehfest", grid, p.astype(complex), groups, p.size)
     with pytest.raises(PlanMismatchError, match="node count"):
         invert_all("stehfest", evaluate_image(plan, lambda p: 1.0 / p), grid)

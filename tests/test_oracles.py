@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ def test_pair_point_values():
     assert by_name["p/(p^2+16)"].time_function(1.0) == pytest.approx(math.cos(4.0))
     # midpoint convention exactly at the jump
     assert by_name["exp(-0.08p)/p"].time_function(0.08) == pytest.approx(0.5)
+
+
+def test_delayed_image_overflows_without_warning():
+    # far left of the plane exp(-0.08 p) overflows; the value is the plain
+    # formula's, left non-finite for invert_all to flag, and no
+    # RuntimeWarning is raised on the way
+    for p in (2.0 + 1.0j, -8000.0 + 1.0j, -8900.0 + 1.0j, -1e5 + 3.0j, -1e5 + 0.0j):
+        with np.errstate(all="ignore"):
+            want = np.exp(-oracles.DELAY_TAU * p) / p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = DELAYED_STEP.image(p)
+        np.testing.assert_array_equal([got.real, got.imag], [want.real, want.imag])
+    assert not np.isfinite(DELAYED_STEP.image(-1e5 + 3.0j))
 
 
 @pytest.mark.parametrize("pair", pair_catalog(), ids=lambda p: p.name)
@@ -97,6 +112,9 @@ def test_laplace_domain_checks():
     for x in (-0.1, 3.5, 5.0, math.nan):
         with pytest.raises(ValueError, match="x must lie"):
             benchmark_time_series_1d(x, 1.0, HEAVISIDE)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="t must be"):
+            benchmark_time_series_1d(1.0, t, HEAVISIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +147,11 @@ def test_series_truncation_flagged():
 
 
 def test_series_rejects_cosine():
-    with pytest.raises(ValueError):
-        benchmark_time_series_1d(1.0, 1.0, COSINE4T)
+    # and every other behaviour it does not solve, such as the pairs: at
+    # 1/(p+1) it would return the Heaviside value
+    for behavior in (COSINE4T, *oracles.pair_catalog()):
+        with pytest.raises(ValueError, match="no series solution"):
+            benchmark_time_series_1d(1.0, 1.0, behavior)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +205,9 @@ def test_fd_argument_validation():
         crank_nicolson_1d(1.0, np.array([1.0]), HEAVISIDE, nx=8)
     with pytest.raises(ValueError):
         crank_nicolson_1d(1.0, np.array([0.005]), HEAVISIDE, dt=1e-2)
+    for dt in (0.0, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            crank_nicolson_1d(1.0, np.array([1.0]), HEAVISIDE, dt=dt)
     # outside the rod a negative x_obs would index from the far end
     for x_obs in (-1.0, 3.5, math.nan):
         with pytest.raises(ValueError, match="x_obs"):
