@@ -12,10 +12,12 @@ pairs, whether its median gain exceeds the parent's interquartile range,
 and whether it stays within the metric's ``bound``.  It also prints the
 failed-operation counts.  Every run lasts the
 ``run_seconds`` of CHANGE_DIR's ``BENCHMARK.json``.  Nothing under
-``perfbench/`` is imported.
+``perfbench/`` is imported.  With ``--json PATH`` it also writes the
+record of :func:`record` to PATH: both sides' commits, their per-pair
+values and the verdict per metric.
 
 Usage: python scripts/bench_ab.py PARENT_DIR CHANGE_DIR --workload W --pairs N
-           [--first-seed K]
+           [--first-seed K] [--json PATH]
 """
 
 import argparse
@@ -70,6 +72,42 @@ def verdict(old: list, new: list, better: str, bound: float) -> dict:
             "wins_ok": wins >= 0.9 * len(old), "gap_ok": gain > q3 - q1, "bound": within}
 
 
+def commit_of(checkout: Path) -> dict:
+    """The commit a checkout has out, and whether its tracked files differ
+    from it; the sha is None outside a git work tree."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True, check=False)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no")) if sha else None
+    return {"sha": sha, "dirty": dirty}
+
+
+def record(spec: dict, workload: str, first_seed: int, results: dict, commits: dict) -> dict:
+    """The A/B run as one JSON-ready dict.
+
+    results and commits map "parent" and "change" to the run results, in
+    pair order, and to :func:`commit_of`.  Per end-to-end metric of spec
+    the record holds each side's per-pair values and the verdict.
+    """
+    pairs = len(results["parent"])
+    metrics = {}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results[side]]
+                  for side in ("parent", "change")}
+        metrics[name] = {**values, "verdict": verdict(values["parent"], values["change"],
+                                                      metric["better"], metric["bound"])}
+    return {
+        "workload": workload, "pairs": pairs, "seeds": list(range(first_seed, first_seed + pairs)),
+        "run_seconds": spec["run_seconds"], "commits": commits, "metrics": metrics,
+        "failed": {side: [r["failed"] for r in results[side]] for side in ("parent", "change")},
+        "correct": {side: [r["correct"] for r in results[side]] for side in ("parent", "change")},
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -78,6 +116,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, default=1,
                         help="seed of the first pair; pair i runs seed first_seed + i")
+    parser.add_argument("--json", type=Path, help="also write the record of the runs here")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -100,20 +139,21 @@ def main() -> int:
     print(f"{'metric':12s} {'better':6s} {'parent median (q1-q3)':>30s} "
           f"{'change median (q1-q3)':>30s} {'change wins':>18s} {'>=9/10':>6s} "
           f"{'gap>IQR':>7s} {'bound':>10s}")
+    out = record(spec, args.workload, args.first_seed, results,
+                 {side: commit_of(path) for side, path in sides.items()})
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        old = [r["metrics"][name]["value"] for r in results["parent"]]
-        new = [r["metrics"][name]["value"] for r in results["change"]]
-        v = verdict(old, new, metric["better"], metric["bound"])
+        v = out["metrics"][name]["verdict"]
         cells = [f"{q2:.6g} ({q1:.6g}-{q3:.6g})" for q1, q2, q3 in (v["parent"], v["change"])]
         wins = f"{v['wins']} of {args.pairs}" + (f", {v['ties']} tied" if v["ties"] else "")
         print(f"{name:12s} {metric['better']:6s} {cells[0]:>30s} {cells[1]:>30s} "
               f"{wins:>18s} {'yes' if v['wins_ok'] else 'no':>6s} "
               f"{'yes' if v['gap_ok'] else 'no':>7s} {v['bound']:>10s}")
     for side in ("parent", "change"):
-        failed = [r["failed"] for r in results[side]]
-        print(f"{side}: failed {failed}, correct {[r['correct'] for r in results[side]].count(True)}"
-              f" of {args.pairs}")
+        print(f"{side}: failed {out['failed'][side]}, correct "
+              f"{out['correct'][side].count(True)} of {args.pairs}")
+    if args.json:
+        args.json.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
 

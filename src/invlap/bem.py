@@ -9,6 +9,8 @@ kernels, the matrices, the solve and the interior values in float64; a
 complex q makes all of them complex128.  The collocation matrices and
 interior values take their layer integrals from one quadrature rule,
 whose geometry is built once per mesh and per interior point.
+:func:`kernel_block` evaluates the kernels of many wavenumbers in one
+call, and :func:`assemble` and :func:`eval_interior` take their rows.
 
 Conventions
 -----------
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, k01_values
+from .specfun import EULER_GAMMA, k01_values, takes_real_path
 
 GAUSS_ORDER = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -134,8 +136,7 @@ class BoundaryMesh:
     @functools.cached_property
     def _interior_quadratures(self) -> dict:
         # one entry: every caller evaluates at one fixed point per mesh,
-        # and a field plot over many points would otherwise fill memory.
-        # Threads race only to build the same entry twice.
+        # and a field plot over many points would otherwise fill memory
         return {}
 
 
@@ -306,9 +307,13 @@ def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
         r=r_distinct)
 
 
-def _layer_integrals(quad: _LayerQuadrature, q):
-    """K0 and K1 at each distinct q r, and the G and H entry of each pair."""
-    k0, k1 = k01_values(q * quad.r)
+def _layer_integrals(quad: _LayerQuadrature, q, kernels):
+    """K0 and K1 at each distinct q r, and the G and H entry of each pair.
+
+    kernels is the (K0, K1) row of :func:`kernel_block` at q for quad.r,
+    or None to evaluate it here.
+    """
+    k0, k1 = k01_values(q * quad.r) if kernels is None else kernels
     g = np.add.reduceat(k0[quad.index] * quad.g_weight, quad.starts)
     h = q * np.add.reduceat(k1[quad.index] * quad.h_weight, quad.starts)
     bad = ~(np.isfinite(g) & np.isfinite(h))
@@ -319,7 +324,64 @@ def _layer_integrals(quad: _LayerQuadrature, q):
     return k0, k1, g, h
 
 
-def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
+def _wavenumber(q):
+    """q as :func:`assemble` takes it: Re(q) when its imaginary part is
+    zero, of either sign, else the complex q.  Raises ValueError unless
+    Re(q) > 0."""
+    q = complex(q)
+    if q.real <= 0:
+        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p)")
+    return q.real if q.imag == 0 else q
+
+
+def kernel_block(qs, r) -> list:
+    """K0 and K1 at q r for every wavenumber q of qs, in at most two calls.
+
+    Item i is the (K0, K1) row pair that ``k01_values(q * r)`` gives for
+    qs[i], bit for bit: the kernels are elementwise, and each row takes
+    its path from its own arguments.  The rows of a real q whose arguments
+    are all positive and finite share one real-arithmetic call, the other
+    rows one complex call.  A q that :func:`assemble` rejects gets None
+    and stays out of both calls, so it cannot spoil the other rows.
+    """
+    wavenumbers = {}
+    for i, q in enumerate(qs):
+        try:
+            wavenumbers[i] = _wavenumber(q)
+        except ValueError:
+            pass
+    real = np.array([i for i, q in wavenumbers.items() if isinstance(q, float)], dtype=int)
+    other = [i for i, q in wavenumbers.items() if not isinstance(q, float)]
+    z_real = np.multiply.outer(np.array([wavenumbers[i] for i in real], dtype=float), r)
+    fast = takes_real_path(z_real, axis=1)
+    # a real row off the real path gets k01_values' cast of its q r
+    z_other = np.concatenate([
+        z_real[~fast].astype(complex),
+        np.multiply.outer(np.array([wavenumbers[i] for i in other], dtype=complex), r)])
+    rows = [None] * len(qs)
+    for index, z in ((real[fast].tolist(), z_real[fast]),
+                     (real[~fast].tolist() + other, z_other)):
+        if index:
+            k0, k1 = k01_values(z)
+            for i, k0_row, k1_row in zip(index, k0, k1):
+                rows[i] = (k0_row, k1_row)
+    return rows
+
+
+def solve_distances(mesh: BoundaryMesh, point) -> tuple:
+    """The distinct distances at which one solve at `point` samples the
+    kernels, and how many of them come first from :func:`assemble`; the
+    rest are those of :func:`eval_interior`.
+
+    Builds both quadratures and keeps them on the mesh, so solves that run
+    in other threads afterwards only read them.
+    """
+    assembly = mesh._assembly_quadrature.r
+    interior = _interior_quadrature(mesh, np.asarray(point, dtype=float))[0].r
+    return np.concatenate([assembly, interior]), assembly.size
+
+
+def assemble(mesh: BoundaryMesh, q: complex, kernels=None) -> HelmholtzSystem:
     """Collocation matrices H (double layer + 1/2 jump) and G (single layer).
 
     Requires Re(q) > 0 so the kernel decays.  A q whose imaginary part is
@@ -329,15 +391,13 @@ def assemble(mesh: BoundaryMesh, q: complex) -> HelmholtzSystem:
     diagonal of G subtracts and integrates the log singularity in closed
     form, and the flat-element diagonal of H is exactly the 1/2 jump term.
     The quadrature geometry is built once per mesh, and K0/K1 are
-    evaluated once per distinct distance.
+    evaluated once per distinct distance.  kernels, when given, is the
+    :func:`kernel_block` row of q for the assembly distances, the first
+    ones of :func:`solve_distances`.
     """
-    q = complex(q)
-    if q.real <= 0:
-        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p)")
-    if q.imag == 0:
-        q = q.real
+    q = _wavenumber(q)
     quad = mesh._assembly_quadrature
-    k0, _, g_off, h_off = _layer_integrals(quad, q)
+    k0, _, g_off, h_off = _layer_integrals(quad, q, kernels)
 
     n = mesh.n_elements
     gmat = np.empty((n, n), dtype=g_off.dtype)
@@ -396,20 +456,8 @@ def _winding_number(mesh: BoundaryMesh, point: np.ndarray) -> float:
     return float(ang.sum())
 
 
-def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
-    """Potential and gradient at an interior point from the boundary data.
-
-    Uses the representation u(xi) = int G flux - int u dG/dn with c = 1;
-    the gradient differentiates both kernels analytically (K1 terms).  The
-    layer integrals take the quadrature of :func:`assemble`: the composite
-    rule on elements whose midpoint lies within NEAR_FIELD_FACTOR element
-    lengths of the point, the far rule on the others.  Returns (phi, grad,
-    flags), float64 for a real q and real boundary data; points outside or
-    within half an element length of the boundary are flagged rather than
-    rejected.  The quadrature geometry and flags of the last point are kept
-    on the mesh.
-    """
-    pt = np.asarray(point, dtype=float)
+def _interior_quadrature(mesh: BoundaryMesh, pt: np.ndarray) -> tuple:
+    """Quadrature and flags of the interior point pt, kept on the mesh."""
     key = pt.tobytes()
     cached = mesh._interior_quadratures
     entry = cached.get(key)
@@ -424,9 +472,27 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
         entry = (quad, tuple(flags))
         cached.clear()
         cached[key] = entry
-    quad, flags = entry
+    return entry
+
+
+def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point, kernels=None):
+    """Potential and gradient at an interior point from the boundary data.
+
+    Uses the representation u(xi) = int G flux - int u dG/dn with c = 1;
+    the gradient differentiates both kernels analytically (K1 terms).  The
+    layer integrals take the quadrature of :func:`assemble`: the composite
+    rule on elements whose midpoint lies within NEAR_FIELD_FACTOR element
+    lengths of the point, the far rule on the others.  Returns (phi, grad,
+    flags), float64 for a real q and real boundary data; points outside or
+    within half an element length of the boundary are flagged rather than
+    rejected.  The quadrature geometry and flags of the last point are kept
+    on the mesh.  kernels, when given, is the :func:`kernel_block` row of
+    solution.q for the interior distances, the last ones of
+    :func:`solve_distances`.
+    """
+    quad, flags = _interior_quadrature(mesh, np.asarray(point, dtype=float))
     q = solution.q
-    k0, k1, g_row, h_row = _layer_integrals(quad, q)
+    k0, k1, g_row, h_row = _layer_integrals(quad, q, kernels)
     k0 = k0[quad.index]
     k1 = k1[quad.index]
     k1_r = k1 / quad.r[quad.index]

@@ -247,6 +247,25 @@ def test_per_call_paths_do_no_q_independent_work(monkeypatch):
         assert again[0] == phi and np.array_equal(again[1], grad) and again[2] == flags
 
 
+def test_kernel_block_rows_match_single_calls(mesh2):
+    # each row takes its path from its own arguments: a real q next to an
+    # infinite one stays real, and a q that assemble rejects stays out
+    r, _ = bem.solve_distances(mesh2, OBS)
+    qs = [1.5, np.sqrt(2.0 + 4.0j), 0.0, np.inf, complex(0.5, -0.0), 1e150,
+          complex(np.nan, np.nan), 1j, -1.0]
+    rows = bem.kernel_block(qs, r)
+    assert [row is None for row in rows] == [False, False, True, False, False, False,
+                                             False, True, True]
+    for q, row in zip(qs, rows):
+        if row is not None:
+            q = bem._wavenumber(q)
+            for got, want in zip(row, specfun.k01_values(q * r)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want, equal_nan=True)
+    assert [rows[i][0].dtype for i in (0, 1, 3, 4, 5)] == [np.float64, np.complex128,
+                                                          np.complex128, np.float64, np.float64]
+
+
 def test_nonfinite_near_field_kernel_raises(monkeypatch):
     # NaN only at the distance from a midpoint to the nearest node of the
     # composite rule on its collinear neighbour, which no far-rule or

@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,55 @@ def test_equal_counts_stay_within_a_tight_bound():
         0, 10, False, False, "within")
     v = bench_ab.verdict([166] * 10, [170] * 10, "lower", 0.02)
     assert v["bound"] == "outside"
+
+
+def _fake_run(checkout, workload, seed, seconds):
+    wall = 1.0 + 0.01 * seed if checkout.name == "parent" else 0.8 + 0.01 * seed
+    return {"metrics": {"wall_s": {"value": wall}, "image_calls": {"value": 166}},
+            "failed": 0, "correct": True}
+
+
+def test_json_record_of_the_runs(tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 2, "end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "image_calls", "better": "lower", "bound": 0.02}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "ab.json"
+    monkeypatch.setattr(bench_ab, "run", _fake_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_ab.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--workload", "w", "--pairs", "3", "--first-seed", "5", "--json", str(out)])
+    assert bench_ab.main() == 0
+    assert "wall_s" in capsys.readouterr().out
+    got = json.loads(out.read_text())
+    assert (got["workload"], got["pairs"], got["seeds"], got["run_seconds"]) == ("w", 3, [5, 6, 7], 2)
+    # neither directory is a git work tree
+    assert got["commits"] == {side: {"sha": None, "dirty": None} for side in ("parent", "change")}
+    wall = got["metrics"]["wall_s"]
+    assert wall["parent"] == pytest.approx([1.05, 1.06, 1.07])
+    assert wall["change"] == pytest.approx([0.85, 0.86, 0.87])
+    expected = bench_ab.verdict(wall["parent"], wall["change"], "lower", 0.25)
+    assert wall["verdict"] == json.loads(json.dumps(expected))
+    assert wall["verdict"]["wins"] == 3
+    assert got["metrics"]["image_calls"]["verdict"]["ties"] == 3
+    assert got["failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0]}
+    assert got["correct"] == {"parent": [True] * 3, "change": [True] * 3}
+
+
+def test_commit_of_a_git_work_tree(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "f.txt").write_text("a\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    commit = bench_ab.commit_of(tmp_path)
+    assert len(commit["sha"]) == 40 and commit["dirty"] is False
+    (tmp_path / "new.txt").write_text("untracked files do not count\n")
+    assert bench_ab.commit_of(tmp_path)["dirty"] is False
+    (tmp_path / "f.txt").write_text("b\n")
+    assert bench_ab.commit_of(tmp_path) == {"sha": commit["sha"], "dirty": True}

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,11 +103,16 @@ def test_full_transfer_memo_still_solves(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
-def _uncached_image(mesh, point, behavior, p):
-    # the image without any memo: one solve, then the behavior's image
+def _serial_transfer(mesh, point, p):
+    # one solve with the kernels evaluated by assemble and eval_interior
     solution = bem.solve_boundary(bem.assemble(mesh, np.sqrt(p)), mesh)
     phi, grad, _ = bem.eval_interior(solution, mesh, point)
-    return np.array([phi, -grad[0]]) * behavior.image(p)
+    return np.array([phi, -grad[0]])
+
+
+def _uncached_image(mesh, point, behavior, p):
+    # the image without any memo: one solve, then the behavior's image
+    return _serial_transfer(mesh, point, p) * behavior.image(p)
 
 
 def test_cached_transfer_bit_identical_warm_and_cold():
@@ -144,26 +150,120 @@ def test_shared_experiments_solve_each_p_once():
     assert sum(r.model_solves for r in runs[4:]) == 0
 
 
-def test_cold_cache_threaded_evaluation_bit_identical():
-    # every run starts on a freshly built mesh, so the solve-ahead threads
-    # build its cached quadrature geometry concurrently
+def test_cold_cache_threaded_evaluation_bit_identical(monkeypatch):
+    # every run starts on a freshly built mesh and solves its p in kernel
+    # blocks of one row, three rows or the whole plan; the Talbot and de
+    # Hoog plans mix real and complex q within a block
     grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
-    plan = plan_samples("talbot", grid, 12, SamplingStrategy.SHARED_GLOBAL)
+    point = (0.6, 0.9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = {}
-        for workers in (1, 2, 4):
-            image = harness.BemImage(bem.benchmark_rectangle_mesh(2), (0.6, 0.9),
-                                     oracles.HEAVISIDE)
-            image.solve_ahead(plan.p.tolist(), workers)
-            runs[workers] = evaluate_image(plan, image).values
-            assert image.calls == plan.total_evaluations
-            assert image.solves == plan.total_evaluations
+        for method in ("talbot", "dehoog"):
+            plan = plan_samples(method, grid, 12, SamplingStrategy.SHARED_GLOBAL)
+            p = plan.p.tolist()
+            assert 0 < sum(v.imag == 0 for v in p) < len(p)
+            for density in (2, 4):
+                mesh = bem.benchmark_rectangle_mesh(density)
+                expected = [_uncached_image(mesh, point, oracles.HEAVISIDE, v) for v in p]
+                row = bem.solve_distances(mesh, point)[0].size
+                for rows in (1, 3, len(p)):
+                    monkeypatch.setattr(harness, "_KERNEL_BLOCK_POINTS", rows * row)
+                    for workers in (2, 4):
+                        image = harness.BemImage(bem.benchmark_rectangle_mesh(density), point,
+                                                 oracles.HEAVISIDE)
+                        image.solve_ahead(p, workers)
+                        assert image.solves == plan.total_evaluations
+                        values = evaluate_image(plan, image).values
+                        assert image.calls == image.solves == plan.total_evaluations
+                        assert np.array_equal(values, expected)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(runs[2], runs[1])
-    assert np.array_equal(runs[4], runs[1])
+
+
+def test_solve_ahead_builds_the_mesh_geometry_before_its_threads(monkeypatch):
+    built = []
+    layer_quadrature = bem._layer_quadrature
+
+    def recorded(*args):
+        built.append(threading.current_thread() is threading.main_thread())
+        return layer_quadrature(*args)
+
+    monkeypatch.setattr(bem, "_layer_quadrature", recorded)
+    plan = plan_samples("talbot", make_time_grid(0.1, 1.0, 3, "logarithmic"), 12,
+                        SamplingStrategy.SHARED_GLOBAL)
+    image = harness.BemImage(bem.benchmark_rectangle_mesh(2), (0.6, 0.9), oracles.HEAVISIDE)
+    image.solve_ahead(plan.p.tolist(), 2)
+    # the assembly quadrature and the observation point's, both here
+    assert image.solves == plan.total_evaluations and built == [True, True]
+
+
+def _record_kernel_sizes(monkeypatch) -> list:
+    sizes = []
+    k01_values = bem.k01_values
+
+    def recorded(z):
+        sizes.append(np.size(z))
+        return k01_values(z)
+
+    monkeypatch.setattr(bem, "k01_values", recorded)
+    return sizes
+
+
+# numpy warns on the square root of a NaN p, as every solve of one does
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+def test_bad_p_does_not_spoil_its_kernel_block(monkeypatch):
+    # p = 0 and -1 give Re(q) = 0, NaN and inf give non-finite kernels; a
+    # good real p next to inf keeps its real kernels
+    good = [1.0, 2.0 + 1.0j, 0.5, 1e300, 3.0 - 2.0j, 4.0, 0.25 + 8.0j]
+    bad = [0.0, math.nan, math.inf, -1.0, 1e300 + 1e300j]
+    p = [complex(v) for pair in zip(good, bad + [None] * 2) for v in pair if v is not None]
+    point = (0.6, 0.9)
+    mesh = bem.benchmark_rectangle_mesh(2)
+    row = bem.solve_distances(mesh, point)[0].size
+    plan = plan_samples("talbot", make_time_grid(0.1, 1.0, 3, "logarithmic"), 5,
+                        SamplingStrategy.SHARED_GLOBAL)
+    sizes = _record_kernel_sizes(monkeypatch)
+    for rows in (3, len(p)):
+        monkeypatch.setattr(harness, "_KERNEL_BLOCK_POINTS", rows * row)
+        harness._transfers.cache_clear()
+        image = harness.BemImage(mesh, point, oracles.HEAVISIDE)
+        sizes.clear()
+        image.solve_ahead(p, 2)
+        assert image.solves == len(good)
+        # only p = 0 and -1 stay out of the kernel blocks
+        assert sum(sizes) == (len(p) - 2) * row
+        transfers = harness._transfers(mesh, point)
+        for v in good:
+            transfer, _ = transfers[np.complex128(v).tobytes()]
+            expected = _serial_transfer(mesh, point, v)
+            assert transfer.dtype == expected.dtype
+            assert np.array_equal(transfer, expected)
+        for v in bad:
+            assert np.complex128(v).tobytes() not in transfers
+            with pytest.raises(ImageEvaluationError) as err:
+                evaluate_image(replace(plan, p=np.array([v])), image)
+            assert np.complex128(err.value.p).tobytes() == np.complex128(v).tobytes()
+
+
+def test_kernel_blocks_stay_within_their_point_bound(monkeypatch):
+    grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
+    plan = plan_samples("dehoog", grid, 41, SamplingStrategy.SHARED_GLOBAL)
+    point = (0.6, 0.9)
+    sizes = _record_kernel_sizes(monkeypatch)
+    for density, bound in ((2, harness._KERNEL_BLOCK_POINTS), (2, 5000), (4, 100)):
+        monkeypatch.setattr(harness, "_KERNEL_BLOCK_POINTS", bound)
+        mesh = bem.benchmark_rectangle_mesh(density)
+        row = bem.solve_distances(mesh, point)[0].size
+        image = harness.BemImage(mesh, point, oracles.HEAVISIDE)
+        sizes.clear()
+        image.solve_ahead(plan.p.tolist(), 2)
+        assert image.solves == plan.total_evaluations
+        # one real and one complex call per block at most
+        rows = max(1, bound // row)
+        assert len(sizes) <= 2 * 2 * -(-plan.total_evaluations // (2 * rows))
+        assert max(sizes) <= max(bound, row)
+        assert sum(sizes) == plan.total_evaluations * row
 
 
 def _count_thread_starts(monkeypatch) -> list:
