@@ -9,8 +9,10 @@ kernels, the matrices, the solve and the interior values in float64; a
 complex q makes all of them complex128.  The collocation matrices and
 interior values take their layer integrals from one quadrature rule,
 whose geometry is built once per mesh and per interior point.
-:func:`kernel_block` evaluates the kernels of many wavenumbers in one
-call, and :func:`assemble` and :func:`eval_interior` take their rows.
+:func:`assemble`, :func:`solve_boundary` and :func:`eval_interior` take
+one wavenumber or a 1-D array of them; an array gives stacks, one row
+per wavenumber, bit for bit the values of its own scalar call, from one
+K0/K1 call per stage.
 
 Conventions
 -----------
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, k01_values, takes_real_path
+from .specfun import EULER_GAMMA, k01_values
 
 GAUSS_ORDER = 8
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -194,21 +196,22 @@ def benchmark_rectangle_mesh(n_per_unit: int = 8) -> BoundaryMesh:
 
 @dataclass(frozen=True)
 class HelmholtzSystem:
-    """Dense collocation matrices for one wavenumber.
+    """Dense collocation matrices for one wavenumber, or a stack of them.
 
     h includes the c = 1/2 jump term on its diagonal; g is the single
-    layer.  Both are n x n for n elements: float64 for a real q, complex
-    otherwise.
+    layer.  Both are n x n for n elements, or (k, n, n) for a 1-D array
+    of k wavenumbers q: float64 for a real q, complex otherwise.
     """
 
     h: np.ndarray
     g: np.ndarray
-    q: float | complex
+    q: float | complex | np.ndarray
 
 
 @dataclass(frozen=True)
 class BoundarySolution:
-    """Element-wise potential and outward normal flux for one q.
+    """Element-wise potential and outward normal flux for one q, or (k, n)
+    stacks for a 1-D array of k wavenumbers.
 
     The arrays have the dtype of the system they were solved from, float64
     for a real q.
@@ -216,7 +219,7 @@ class BoundarySolution:
 
     phi: np.ndarray
     flux: np.ndarray
-    q: float | complex
+    q: float | complex | np.ndarray
 
 
 def _gauss_points(mesh: BoundaryMesh, split: int):
@@ -307,16 +310,22 @@ def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
         r=r_distinct)
 
 
-def _layer_integrals(quad: _LayerQuadrature, q, kernels):
-    """K0 and K1 at each distinct q r, and the G and H entry of each pair.
+def _layer_integrals(quad: _LayerQuadrature, q: np.ndarray):
+    """K0 and K1 at each distinct q r, and the G and H entry of each pair,
+    for each wavenumber of the 1-D array q: one row per wavenumber.
 
-    kernels is the (K0, K1) row of :func:`kernel_block` at q for quad.r,
-    or None to evaluate it here.
+    One kernel call evaluates every row.  The sums run row by row, one 1-D
+    gather, product and reduceat each: a version that formed them as 2-D
+    stack operations made experiments A and B about 30% slower at density
+    8 on two solve threads, and no slower on one, most likely because
+    numpy ran them in pieces and handed the GIL to the other thread
+    between them.
     """
-    k0, k1 = k01_values(q * quad.r) if kernels is None else kernels
-    g = np.add.reduceat(k0[quad.index] * quad.g_weight, quad.starts)
-    h = q * np.add.reduceat(k1[quad.index] * quad.h_weight, quad.starts)
-    bad = ~(np.isfinite(g) & np.isfinite(h))
+    k0, k1 = k01_values(np.multiply.outer(q, quad.r))
+    g = np.array([np.add.reduceat(row[quad.index] * quad.g_weight, quad.starts) for row in k0])
+    h = np.array([qi * np.add.reduceat(row[quad.index] * quad.h_weight, quad.starts)
+                  for qi, row in zip(q, k1)])
+    bad = ~(np.isfinite(g) & np.isfinite(h)).all(axis=0)
     if bad.any():
         pairs = list(zip(quad.rows[bad][:3].tolist(), quad.cols[bad][:3].tolist()))
         raise FloatingPointError(
@@ -324,64 +333,18 @@ def _layer_integrals(quad: _LayerQuadrature, q, kernels):
     return k0, k1, g, h
 
 
-def _wavenumber(q):
-    """q as :func:`assemble` takes it: Re(q) when its imaginary part is
-    zero, of either sign, else the complex q.  Raises ValueError unless
-    Re(q) > 0."""
-    q = complex(q)
-    if q.real <= 0:
-        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p)")
-    return q.real if q.imag == 0 else q
-
-
-def kernel_block(qs, r) -> list:
-    """K0 and K1 at q r for every wavenumber q of qs, in at most two calls.
-
-    Item i is the (K0, K1) row pair that ``k01_values(q * r)`` gives for
-    qs[i], bit for bit: the kernels are elementwise, and each row takes
-    its path from its own arguments.  The rows of a real q whose arguments
-    are all positive and finite share one real-arithmetic call, the other
-    rows one complex call.  A q that :func:`assemble` rejects gets None
-    and stays out of both calls, so it cannot spoil the other rows.
-    """
-    wavenumbers = {}
-    for i, q in enumerate(qs):
-        try:
-            wavenumbers[i] = _wavenumber(q)
-        except ValueError:
-            pass
-    real = np.array([i for i, q in wavenumbers.items() if isinstance(q, float)], dtype=int)
-    other = [i for i, q in wavenumbers.items() if not isinstance(q, float)]
-    z_real = np.multiply.outer(np.array([wavenumbers[i] for i in real], dtype=float), r)
-    fast = takes_real_path(z_real, axis=1)
-    # a real row off the real path gets k01_values' cast of its q r
-    z_other = np.concatenate([
-        z_real[~fast].astype(complex),
-        np.multiply.outer(np.array([wavenumbers[i] for i in other], dtype=complex), r)])
-    rows = [None] * len(qs)
-    for index, z in ((real[fast].tolist(), z_real[fast]),
-                     (real[~fast].tolist() + other, z_other)):
-        if index:
-            k0, k1 = k01_values(z)
-            for i, k0_row, k1_row in zip(index, k0, k1):
-                rows[i] = (k0_row, k1_row)
-    return rows
-
-
-def solve_distances(mesh: BoundaryMesh, point) -> tuple:
-    """The distinct distances at which one solve at `point` samples the
-    kernels, and how many of them come first from :func:`assemble`; the
-    rest are those of :func:`eval_interior`.
+def kernel_arguments(mesh: BoundaryMesh, point) -> int:
+    """How many K0/K1 arguments one solve at `point` evaluates: the
+    distinct distances of :func:`assemble` and :func:`eval_interior`.
 
     Builds both quadratures and keeps them on the mesh, so solves that run
     in other threads afterwards only read them.
     """
-    assembly = mesh._assembly_quadrature.r
-    interior = _interior_quadrature(mesh, np.asarray(point, dtype=float))[0].r
-    return np.concatenate([assembly, interior]), assembly.size
+    interior = _interior_quadrature(mesh, np.asarray(point, dtype=float))[0]
+    return mesh._assembly_quadrature.r.size + interior.r.size
 
 
-def assemble(mesh: BoundaryMesh, q: complex, kernels=None) -> HelmholtzSystem:
+def assemble(mesh: BoundaryMesh, q) -> HelmholtzSystem:
     """Collocation matrices H (double layer + 1/2 jump) and G (single layer).
 
     Requires Re(q) > 0 so the kernel decays.  A q whose imaginary part is
@@ -391,27 +354,34 @@ def assemble(mesh: BoundaryMesh, q: complex, kernels=None) -> HelmholtzSystem:
     diagonal of G subtracts and integrates the log singularity in closed
     form, and the flat-element diagonal of H is exactly the 1/2 jump term.
     The quadrature geometry is built once per mesh, and K0/K1 are
-    evaluated once per distinct distance.  kernels, when given, is the
-    :func:`kernel_block` row of q for the assembly distances, the first
-    ones of :func:`solve_distances`.
+    evaluated once per distinct distance.  A 1-D array q gives (k, n, n)
+    stacks, float64 only when every imaginary part is zero: a real q in a
+    complex array is solved in complex arithmetic.
     """
-    q = _wavenumber(q)
+    qs = np.atleast_1d(np.asarray(q, dtype=complex))
+    if np.any(qs.real <= 0):
+        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p)")
+    if np.all(qs.imag == 0):
+        qs = qs.real
     quad = mesh._assembly_quadrature
-    k0, _, g_off, h_off = _layer_integrals(quad, q, kernels)
+    k0, _, g_off, h_off = _layer_integrals(quad, qs)
 
     n = mesh.n_elements
-    gmat = np.empty((n, n), dtype=g_off.dtype)
-    hmat = np.empty((n, n), dtype=g_off.dtype)
-    gmat[quad.rows, quad.cols] = g_off
-    hmat[quad.rows, quad.cols] = h_off
+    gmat = np.empty((qs.size, n, n), dtype=g_off.dtype)
+    hmat = np.empty((qs.size, n, n), dtype=g_off.dtype)
+    gmat[:, quad.rows, quad.cols] = g_off
+    hmat[:, quad.rows, quad.cols] = h_off
     idx = np.arange(n)
-    z = q * quad.r[quad.self_index]
-    smooth = k0[quad.self_index] + np.log(0.5 * z) + EULER_GAMMA
+    z = np.multiply.outer(qs, quad.r[quad.self_index])
+    smooth = k0[:, quad.self_index] + np.log(0.5 * z) + EULER_GAMMA
     weight = 0.25 * mesh.lengths[:, None] * _GAUSS_WEIGHTS[None, :] / np.pi
-    closed = mesh.lengths * (1.0 - EULER_GAMMA - np.log(q * mesh.lengths / 4.0)) / (2.0 * np.pi)
-    gmat[idx, idx] = (smooth * weight).sum(axis=1) + closed
-    hmat[idx, idx] = 0.5
-    return HelmholtzSystem(h=hmat, g=gmat, q=q)
+    log_q = np.log(np.multiply.outer(qs, mesh.lengths) / 4.0)
+    closed = mesh.lengths * (1.0 - EULER_GAMMA - log_q) / (2.0 * np.pi)
+    gmat[:, idx, idx] = (smooth * weight).sum(axis=-1) + closed
+    hmat[:, idx, idx] = 0.5
+    if np.ndim(q) == 0:
+        return HelmholtzSystem(h=hmat[0], g=gmat[0], q=qs[0].item())
+    return HelmholtzSystem(h=hmat, g=gmat, q=qs)
 
 
 def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh) -> BoundarySolution:
@@ -420,31 +390,34 @@ def solve_boundary(system: HelmholtzSystem, mesh: BoundaryMesh) -> BoundarySolut
     Dirichlet elements carry phi = value exactly and their flux is solved
     for; Neumann elements carry flux = value exactly and their potential
     is solved for.  The data are the spatial values of the mesh: a time
-    behaviour's image fbar_t(p) multiplies the solution afterwards.
+    behaviour's image fbar_t(p) multiplies the solution afterwards.  A
+    stacked system is solved matrix by matrix in one call, and raises if
+    any of its matrices does.
     """
     n = mesh.n_elements
-    if system.h.shape != (n, n):
+    if system.h.shape[-2:] != (n, n):
         raise ValueError("system was assembled for a different mesh")
     dir_mask = mesh.is_dirichlet
-    phi = np.zeros(n, dtype=system.g.dtype)
-    flux = np.zeros(n, dtype=system.g.dtype)
-    phi[dir_mask] = mesh.bc_value[dir_mask]
-    flux[~dir_mask] = mesh.bc_value[~dir_mask]
+    phi = np.zeros(system.g.shape[:-1], dtype=system.g.dtype)
+    flux = np.zeros_like(phi)
+    phi[..., dir_mask] = mesh.bc_value[dir_mask]
+    flux[..., ~dir_mask] = mesh.bc_value[~dir_mask]
 
-    a = np.where(dir_mask[None, :], -system.g, system.h)
-    b = -system.h[:, dir_mask] @ phi[dir_mask] + system.g[:, ~dir_mask] @ flux[~dir_mask]
+    a = np.where(dir_mask, -system.g, system.h)
+    b = (-system.h[..., dir_mask] @ mesh.bc_value[dir_mask]
+         + system.g[..., ~dir_mask] @ mesh.bc_value[~dir_mask])
     try:
-        x = np.linalg.solve(a, b)
+        x = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"boundary system is singular at q = {system.q!r} "
-            f"(cond ~ {np.linalg.cond(a):.3e})") from exc
+            f"(cond ~ {np.max(np.linalg.cond(a)):.3e})") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             f"boundary solve produced non-finite densities at q = {system.q!r} "
-            f"(cond ~ {np.linalg.cond(a):.3e})")
-    flux[dir_mask] = x[dir_mask]
-    phi[~dir_mask] = x[~dir_mask]
+            f"(cond ~ {np.max(np.linalg.cond(a)):.3e})")
+    flux[..., dir_mask] = x[..., dir_mask]
+    phi[..., ~dir_mask] = x[..., ~dir_mask]
     return BoundarySolution(phi=phi, flux=flux, q=system.q)
 
 
@@ -475,7 +448,7 @@ def _interior_quadrature(mesh: BoundaryMesh, pt: np.ndarray) -> tuple:
     return entry
 
 
-def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point, kernels=None):
+def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     """Potential and gradient at an interior point from the boundary data.
 
     Uses the representation u(xi) = int G flux - int u dG/dn with c = 1;
@@ -483,28 +456,33 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point, kernels
     layer integrals take the quadrature of :func:`assemble`: the composite
     rule on elements whose midpoint lies within NEAR_FIELD_FACTOR element
     lengths of the point, the far rule on the others.  Returns (phi, grad,
-    flags), float64 for a real q and real boundary data; points outside or
-    within half an element length of the boundary are flagged rather than
-    rejected.  The quadrature geometry and flags of the last point are kept
-    on the mesh.  kernels, when given, is the :func:`kernel_block` row of
-    solution.q for the interior distances, the last ones of
-    :func:`solve_distances`.
+    flags), float64 for a real q and real boundary data, with phi of shape
+    (k,) and grad of shape (k, 2) for a stacked solution; points outside
+    or within half an element length of the boundary are flagged rather
+    than rejected.  The quadrature geometry and flags of the last point
+    are kept on the mesh.
     """
     quad, flags = _interior_quadrature(mesh, np.asarray(point, dtype=float))
-    q = solution.q
-    k0, k1, g_row, h_row = _layer_integrals(quad, q, kernels)
-    k0 = k0[quad.index]
-    k1 = k1[quad.index]
-    k1_r = k1 / quad.r[quad.index]
-    flux = solution.flux[quad.cols]
-    phi_b = solution.phi[quad.cols]
-    phi = g_row @ flux - h_row @ phi_b
+    qs = np.atleast_1d(solution.q)
+    k0s, k1s, g_rows, h_rows = _layer_integrals(quad, qs)
+    phis, grads = [], []
+    for q, k0, k1, g_row, h_row, flux, phi_b in zip(
+            qs, k0s, k1s, g_rows, h_rows, np.atleast_2d(solution.flux),
+            np.atleast_2d(solution.phi)):
+        k0 = k0[quad.index]
+        k1 = k1[quad.index]
+        k1_r = k1 / quad.r[quad.index]
+        flux = flux[quad.cols]
+        phi_b = phi_b[quad.cols]
+        phis.append(g_row @ flux - h_row @ phi_b)
 
-    # gradients of the kernels with respect to the evaluation point
-    grad_g = q * np.add.reduceat((k1 * quad.g_weight)[:, None] * quad.unit, quad.starts)
-    grad_h = q * (
-        np.add.reduceat(((q * k0 + 2.0 * k1_r) * quad.h_weight)[:, None] * quad.unit,
-                        quad.starts)
-        + np.add.reduceat(k1_r * quad.g_weight, quad.starts)[:, None] * mesh.normals[quad.cols])
-    grad = grad_g.T @ flux - grad_h.T @ phi_b
-    return phi, grad, flags
+        # gradients of the kernels with respect to the evaluation point
+        grad_g = q * np.add.reduceat((k1 * quad.g_weight)[:, None] * quad.unit, quad.starts)
+        grad_h = q * (
+            np.add.reduceat(((q * k0 + 2.0 * k1_r) * quad.h_weight)[:, None] * quad.unit,
+                            quad.starts)
+            + np.add.reduceat(k1_r * quad.g_weight, quad.starts)[:, None] * mesh.normals[quad.cols])
+        grads.append(grad_g.T @ flux - grad_h.T @ phi_b)
+    if np.ndim(solution.q) == 0:
+        return phis[0], grads[0], flags
+    return np.array(phis), np.array(grads), flags

@@ -58,6 +58,22 @@ def _parse_t_range(text: str) -> tuple:
     return lo, hi
 
 
+def _experiment_config(options: dict) -> harness.ExperimentConfig:
+    """The configuration of the options given; ExperimentConfig holds every
+    default."""
+    settings = {}
+    if options.get("methods"):
+        settings["methods"] = tuple(
+            m.strip() for m in str(options["methods"]).split(",") if m.strip())
+    if options.get("t_range"):
+        settings["t_min"], settings["t_max"] = _parse_t_range(str(options["t_range"]))
+    for key, field in (("times", "n_times"), ("terms", "terms"),
+                       ("mesh_density", "n_per_unit")):
+        if key in options:
+            settings[field] = options[key]
+    return harness.ExperimentConfig(experiment=str(options.get("experiment", "")), **settings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invlap-bench",
@@ -96,19 +112,7 @@ def main(argv=None) -> int:
         options = _merged_options(args)
         out_dir = Path(options.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        # the settings given; ExperimentConfig holds every default
-        settings = {}
-        if options.get("methods"):
-            settings["methods"] = tuple(
-                m.strip() for m in str(options["methods"]).split(",") if m.strip())
-        if options.get("t_range"):
-            settings["t_min"], settings["t_max"] = _parse_t_range(str(options["t_range"]))
-        for key, field in (("times", "n_times"), ("terms", "terms"),
-                           ("mesh_density", "n_per_unit")):
-            if key in options:
-                settings[field] = options[key]
-        config = harness.ExperimentConfig(
-            experiment=str(options.get("experiment", "")), **settings)
+        config = _experiment_config(options)
 
         if options.get("pairs"):
             grid = make_time_grid(config.t_min, config.t_max, config.n_times, "logarithmic")

@@ -24,6 +24,8 @@ from . import algorithms as alg
 DEDUP_RTOL = 1e-12
 
 FLAG_UNDEFINED_BEFORE_DELAY = "undefined-before-delay"
+#: Flag of the times of a plan group whose inversion raised.
+FLAG_INVERSION_FAILED = "inversion-failed"
 
 
 class InvalidStrategyError(ValueError):
@@ -344,7 +346,10 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
     Values are pure functions of (samples, parameters, t).  Numerically
     degenerate times carry diagnostic flags and NaN values instead of
     raising, so one bad time does not abort a sweep; a group with a
-    non-finite sample inverts to a flagged NaN at each of its times.
+    non-finite sample inverts to a flagged NaN at each of its times.  If
+    the pass raises, the groups invert one at a time, which rounds each
+    group as the pass does, and a group that raises alone gets NaN and
+    FLAG_INVERSION_FAILED at each of its times.
     """
     plan = samples.plan
     if plan.method != method:
@@ -362,14 +367,27 @@ def invert_all(method: str, samples: SampleSet, grid: TimeGrid) -> TimeSeriesRes
     flags = [(alg.FLAG_NONFINITE_SAMPLES,)] * times.size
     finite = np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
     groups = [group for group, ok in zip(plan.groups, finite.tolist()) if ok]
-    if groups:
+
+    def invert(stack, groups):
         where = np.concatenate([group.time_indices for group in groups])
         values[where], inverted = _METHODS[method].invert(
-            stack if len(groups) == len(plan.groups) else stack[finite],
-            [group.params for group in groups],
+            stack, [group.params for group in groups],
             [times[group.time_indices] for group in groups])
         for ti, tflags in zip(where.tolist(), inverted):
             flags[ti] = tflags
+
+    if len(groups) < len(plan.groups):
+        stack = stack[finite]
+    if groups:
+        try:
+            invert(stack, groups)
+        except Exception:  # noqa: BLE001 - each group raises again on its own
+            for group, g_stack in zip(groups, stack):
+                try:
+                    invert(g_stack[None], [group])
+                except Exception:  # noqa: BLE001 - this group's times fail
+                    for ti in group.time_indices.tolist():
+                        flags[ti] = (FLAG_INVERSION_FAILED,)
 
     return TimeSeriesResult(method=method, times=times, values=values,
                             flags=tuple(flags))

@@ -140,8 +140,8 @@ class BemImage(CountingImage):
     actually ran, and ``flags`` holds the flags of
     :func:`bem.eval_interior` at the observation point once the image has
     been called.  :meth:`solve_ahead` runs a plan's missing
-    solves across threads, in chunks of p that share one evaluation of
-    the Bessel kernels; the image, its counters and the memo are used
+    solves across threads, in chunks of p whose wavenumbers each BEM stage
+    takes as one stack; the image, its counters and the memo are used
     from the calling thread only.
     """
 
@@ -157,31 +157,21 @@ class BemImage(CountingImage):
     def _solve_chunk(self, p_values) -> list:
         """(transfer, flags) of each p, or the exception its solve raised.
 
-        One :func:`bem.kernel_block` evaluates the kernels of every p at
-        every solve distance; each p then assembles, solves and evaluates
-        the interior from its own row.
+        The p share one call of each BEM stage, on the stack of their
+        wavenumbers.  If the stack raises, each p is solved alone, so the
+        error stays with its own p and the other p still get their values.
         """
-        r, n_assembly = bem.solve_distances(self.mesh, self.observation)
-        qs = [np.sqrt(p) for p in p_values]
-        entries = []
-        for q, row in zip(qs, bem.kernel_block(qs, r)):
-            assembly = interior = None
-            if row is not None:
-                k0, k1 = row
-                assembly = (k0[:n_assembly], k1[:n_assembly])
-                interior = (k0[n_assembly:], k1[n_assembly:])
-            try:
-                system = bem.assemble(self.mesh, q, assembly)
-                solution = bem.solve_boundary(system, self.mesh)
-                phi, grad, flags = bem.eval_interior(solution, self.mesh, self.observation,
-                                                     interior)
-            except Exception as exc:  # noqa: BLE001 - raised again at its p
-                entries.append(exc)
-                continue
-            transfer = np.array([phi, -grad[0]])
-            transfer.flags.writeable = False
-            entries.append((transfer, flags))
-        return entries
+        try:
+            system = bem.assemble(self.mesh, [np.sqrt(p) for p in p_values])
+            solution = bem.solve_boundary(system, self.mesh)
+            phi, grad, flags = bem.eval_interior(solution, self.mesh, self.observation)
+        except Exception as exc:  # noqa: BLE001 - raised again at its p
+            if len(p_values) == 1:
+                return [exc]
+            return [entry for p in p_values for entry in self._solve_chunk([p])]
+        transfers = np.stack([phi, -grad[:, 0]], axis=1)
+        transfers.flags.writeable = False
+        return [(transfer, flags) for transfer in transfers]
 
     def _solve(self, p: complex) -> tuple:
         entry, = self._solve_chunk([p])
@@ -207,17 +197,20 @@ class BemImage(CountingImage):
 
         The p are split into chunks of at most _KERNEL_BLOCK_POINTS kernel
         arguments (one p where one p has more), as many as a multiple of
-        `workers`, so that the threads get even shares.  A chunk
-        evaluates the kernels of all its p in one or two
-        :func:`bem.kernel_block` calls, which run without the GIL; each p
-        then assembles, solves and evaluates the interior from its own
-        row.  Fewer and longer calls, most likely, leave the threads less
-        time waiting for the GIL: on a 20-element mesh, where a chunk holds
-        six p, the 166 p of the ``bem-per-time`` benchmark took 89 ms on
-        two threads against 113 ms one p at a time (132 ms on one thread,
-        2 vCPUs).  Every solve takes the path of an image call, so values,
-        flags and ``solves`` are bit-identical; a solve that raises is left
-        for the image call to raise with its p.  The mesh geometry is built
+        `workers`, so that the threads get even shares.  Real and complex
+        p go to different chunks, since a real q in a complex stack would
+        be solved in complex arithmetic.  A chunk makes one call of each
+        BEM stage on the stack of its wavenumbers, so its K0/K1 take two
+        calls, which numpy runs without the GIL when they have more than
+        500 arguments (one p's 385 at the point at density 8 do not).
+        Fewer and longer calls, most likely, leave
+        the threads less time waiting for the GIL: on a 20-element mesh,
+        where a chunk holds six p, the 166 p of the ``bem-per-time``
+        benchmark took 89 ms on two threads against 113 ms one p at a time
+        (132 ms on one thread, 2 vCPUs).  Every row of a stack has the bits
+        of its p's own solve, so values, flags and ``solves`` are
+        bit-identical to the image calls'; a solve that raises is left for
+        the image call to raise with its p.  The mesh geometry is built
         here, before any thread starts.  With one worker, or fewer than two
         such p, no thread starts.
         """
@@ -229,17 +222,16 @@ class BemImage(CountingImage):
         missing = missing[:_TRANSFERS_PER_KEY - len(transfers)]
         if len(missing) < 2:
             return
-        r, _ = bem.solve_distances(self.mesh, self.observation)
-        rows = max(1, _KERNEL_BLOCK_POINTS // r.size)
+        rows = max(1, _KERNEL_BLOCK_POINTS // bem.kernel_arguments(self.mesh, self.observation))
         n_chunks = min(len(missing), workers * -(-len(missing) // (rows * workers)))
-        bounds = [len(missing) * i // n_chunks for i in range(n_chunks + 1)]
+        missing.sort(key=lambda item: np.complex128(item[1]).imag != 0)
+        n_real = sum(np.complex128(p).imag == 0 for _, p in missing)
+        bounds = sorted({len(missing) * i // n_chunks for i in range(n_chunks + 1)} | {n_real})
         chunks = [missing[a:b] for a, b in zip(bounds, bounds[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [(chunk, pool.submit(self._solve_chunk, [p for _, p in chunk]))
                        for chunk in chunks]
         for chunk, future in futures:
-            if future.exception() is not None:
-                continue
             for (key, _), entry in zip(chunk, future.result()):
                 if not isinstance(entry, Exception):
                     transfers[key] = entry

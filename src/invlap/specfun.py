@@ -50,17 +50,10 @@ def k01_values(z):
         raise SingularBesselArgument("K0/K1 are singular at z = 0")
     if not np.iscomplexobj(z):
         z = z.astype(float, copy=False)
-        if takes_real_path(z):
+        if np.all((z > 0) & np.isfinite(z)):
             return k0(z), k1(z)
     z = z.astype(complex, copy=False)
     return kv(0, z), kv(1, z)
-
-
-def takes_real_path(z, axis=None):
-    """Whether the real arguments z, along `axis` (all of them for None),
-    are all positive and finite, so that :func:`k01_values` evaluates them
-    in real arithmetic."""
-    return np.all((z > 0) & np.isfinite(z), axis=axis)
 
 
 def laguerre_sum(a, x):

@@ -247,23 +247,35 @@ def test_per_call_paths_do_no_q_independent_work(monkeypatch):
         assert again[0] == phi and np.array_equal(again[1], grad) and again[2] == flags
 
 
-def test_kernel_block_rows_match_single_calls(mesh2):
-    # each row takes its path from its own arguments: a real q next to an
-    # infinite one stays real, and a q that assemble rejects stays out
-    r, _ = bem.solve_distances(mesh2, OBS)
-    qs = [1.5, np.sqrt(2.0 + 4.0j), 0.0, np.inf, complex(0.5, -0.0), 1e150,
-          complex(np.nan, np.nan), 1j, -1.0]
-    rows = bem.kernel_block(qs, r)
-    assert [row is None for row in rows] == [False, False, True, False, False, False,
-                                             False, True, True]
-    for q, row in zip(qs, rows):
-        if row is not None:
-            q = bem._wavenumber(q)
-            for got, want in zip(row, specfun.k01_values(q * r)):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want, equal_nan=True)
-    assert [rows[i][0].dtype for i in (0, 1, 3, 4, 5)] == [np.float64, np.complex128,
-                                                          np.complex128, np.float64, np.float64]
+@pytest.mark.parametrize("density", [2, 8])
+def test_stacked_stages_match_scalar_calls(density):
+    # every row of a stack, through all three stages, has the bits and the
+    # dtype of its own scalar call; a zero imaginary part of either sign
+    # keeps an array real
+    mesh = bem.benchmark_rectangle_mesh(density)
+    p = _planned_p("A", n_times=3)
+    real, other = (np.sqrt(v[np.linspace(0, v.size - 1, 5).astype(int)])
+                   for v in (p[p.imag == 0].real, p[p.imag != 0]))
+    real = [complex(q, -0.0) if i % 2 else q for i, q in enumerate(real)]
+    n = mesh.n_elements
+    for qs, dtype in ((real, np.float64), (other, np.complex128)):
+        system = bem.assemble(mesh, qs)
+        solution = bem.solve_boundary(system, mesh)
+        phi, grad, flags = bem.eval_interior(solution, mesh, OBS)
+        assert system.g.shape == (5, n, n) and phi.shape == (5,) and grad.shape == (5, 2)
+        for i, q in enumerate(qs):
+            one = bem.assemble(mesh, q)
+            one_solution = bem.solve_boundary(one, mesh)
+            one_phi, one_grad, one_flags = bem.eval_interior(one_solution, mesh, OBS)
+            assert one.q == system.q[i] and one_flags == flags
+            for got, want in ((system.g[i], one.g), (system.h[i], one.h),
+                              (solution.phi[i], one_solution.phi),
+                              (solution.flux[i], one_solution.flux),
+                              (phi[i], one_phi), (grad[i], one_grad)):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
+    # a real q in a complex array is solved in complex arithmetic
+    assert bem.assemble(mesh, [1.5, 1.0 + 1.0j]).g.dtype == np.complex128
 
 
 def test_nonfinite_near_field_kernel_raises(monkeypatch):

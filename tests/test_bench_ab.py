@@ -119,3 +119,62 @@ def test_commit_of_a_git_work_tree(tmp_path):
     assert bench_ab.commit_of(tmp_path)["dirty"] is False
     (tmp_path / "f.txt").write_text("b\n")
     assert bench_ab.commit_of(tmp_path) == {"sha": commit["sha"], "dirty": True}
+
+
+def test_level_ok_allows_a_loss_inside_the_parent_spread():
+    # the parent's interquartile range is 0.045
+    v = bench_ab.verdict(_PARENT, [x + 0.04 for x in _PARENT], "lower", 0.25)
+    assert (v["wins"], v["gap_ok"], v["level_ok"]) == (0, False, True)
+    v = bench_ab.verdict(_PARENT, [x + 0.05 for x in _PARENT], "lower", 0.25)
+    assert v["level_ok"] is False
+
+
+def test_experiments_mode_alternates_fresh_runs(tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 2, "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_experiment(checkout, experiment):
+        calls.append((checkout.name, experiment))
+        base = {"A": 2.0, "B": 0.8}[experiment] + 0.01 * len(calls)
+        return base if checkout.name == "parent" else base + 0.001
+
+    out = tmp_path / "ab.json"
+    monkeypatch.setattr(bench_ab, "run_experiment", fake_experiment)
+    monkeypatch.setattr(bench_ab, "run", None)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_ab.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--experiments", "A,B", "--runs", "3", "--json", str(out)])
+    assert bench_ab.main() == 0
+    printed = capsys.readouterr().out
+    assert "A " in printed and "B " in printed
+    # each run times every experiment on both sides, the first side swapping
+    assert calls == [("parent", "A"), ("change", "A"), ("parent", "B"), ("change", "B"),
+                     ("change", "A"), ("parent", "A"), ("change", "B"), ("parent", "B"),
+                     ("parent", "A"), ("change", "A"), ("parent", "B"), ("change", "B")]
+    got = json.loads(out.read_text())
+    assert (got["experiments"], got["runs"]) == (["A", "B"], 3)
+    a = got["metrics"]["A"]
+    assert a["parent"] == pytest.approx([2.01, 2.06, 2.09])
+    assert a["change"] == pytest.approx([2.021, 2.051, 2.101])
+    assert a["verdict"] == json.loads(json.dumps(
+        bench_ab.verdict(a["parent"], a["change"], "lower", 0.25)))
+    assert a["verdict"]["wins"] == 1
+
+
+def test_experiment_run_times_one_experiment_in_its_checkout(tmp_path):
+    # a stub invlap in the checkout's src stands in for the real one
+    package = tmp_path / "src" / "invlap"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "harness.py").write_text(
+        "import pathlib\n"
+        "class ExperimentConfig:\n"
+        "    def __init__(self, experiment):\n"
+        "        self.experiment = experiment\n"
+        "def run_experiment(config):\n"
+        "    pathlib.Path('ran.txt').write_text(config.experiment)\n")
+    wall = bench_ab.run_experiment(tmp_path, "C")
+    assert 0 <= wall < 5 and (tmp_path / "ran.txt").read_text() == "C"

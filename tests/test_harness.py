@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,9 +152,9 @@ def test_shared_experiments_solve_each_p_once():
 
 
 def test_cold_cache_threaded_evaluation_bit_identical(monkeypatch):
-    # every run starts on a freshly built mesh and solves its p in kernel
-    # blocks of one row, three rows or the whole plan; the Talbot and de
-    # Hoog plans mix real and complex q within a block
+    # every run starts on a freshly built mesh and solves its p in chunks
+    # of one p, three p or the whole plan; the Talbot and de Hoog plans
+    # mix real and complex q
     grid = make_time_grid(0.1, 1.0, 3, "logarithmic")
     point = (0.6, 0.9)
     interval = sys.getswitchinterval()
@@ -166,7 +167,7 @@ def test_cold_cache_threaded_evaluation_bit_identical(monkeypatch):
             for density in (2, 4):
                 mesh = bem.benchmark_rectangle_mesh(density)
                 expected = [_uncached_image(mesh, point, oracles.HEAVISIDE, v) for v in p]
-                row = bem.solve_distances(mesh, point)[0].size
+                row = bem.kernel_arguments(mesh, point)
                 for rows in (1, 3, len(p)):
                     monkeypatch.setattr(harness, "_KERNEL_BLOCK_POINTS", rows * row)
                     for workers in (2, 4):
@@ -220,7 +221,7 @@ def test_bad_p_does_not_spoil_its_kernel_block(monkeypatch):
     p = [complex(v) for pair in zip(good, bad + [None] * 2) for v in pair if v is not None]
     point = (0.6, 0.9)
     mesh = bem.benchmark_rectangle_mesh(2)
-    row = bem.solve_distances(mesh, point)[0].size
+    row = bem.kernel_arguments(mesh, point)
     plan = plan_samples("talbot", make_time_grid(0.1, 1.0, 3, "logarithmic"), 5,
                         SamplingStrategy.SHARED_GLOBAL)
     sizes = _record_kernel_sizes(monkeypatch)
@@ -231,8 +232,8 @@ def test_bad_p_does_not_spoil_its_kernel_block(monkeypatch):
         sizes.clear()
         image.solve_ahead(p, 2)
         assert image.solves == len(good)
-        # only p = 0 and -1 stay out of the kernel blocks
-        assert sum(sizes) == (len(p) - 2) * row
+        # the stacks that hold a bad p raise, and their p are solved alone
+        assert 0 < max(sizes) <= rows * row
         transfers = harness._transfers(mesh, point)
         for v in good:
             transfer, _ = transfers[np.complex128(v).tobytes()]
@@ -254,14 +255,15 @@ def test_kernel_blocks_stay_within_their_point_bound(monkeypatch):
     for density, bound in ((2, harness._KERNEL_BLOCK_POINTS), (2, 5000), (4, 100)):
         monkeypatch.setattr(harness, "_KERNEL_BLOCK_POINTS", bound)
         mesh = bem.benchmark_rectangle_mesh(density)
-        row = bem.solve_distances(mesh, point)[0].size
+        row = bem.kernel_arguments(mesh, point)
         image = harness.BemImage(mesh, point, oracles.HEAVISIDE)
         sizes.clear()
         image.solve_ahead(plan.p.tolist(), 2)
         assert image.solves == plan.total_evaluations
-        # one real and one complex call per block at most
+        # one assembly and one interior call per chunk; the one real p
+        # of the plan may split a chunk in two
         rows = max(1, bound // row)
-        assert len(sizes) <= 2 * 2 * -(-plan.total_evaluations // (2 * rows))
+        assert len(sizes) <= 2 * (2 * -(-plan.total_evaluations // (2 * rows)) + 1)
         assert max(sizes) <= max(bound, row)
         assert sum(sizes) == plan.total_evaluations * row
 
@@ -331,7 +333,7 @@ def test_failed_solve_ahead_raises_at_its_p(monkeypatch):
     bad_solves = []
 
     def failing(system, mesh):
-        if system.q == bad_q:
+        if bad_q in np.atleast_1d(system.q):
             bad_solves.append(system.q)
             raise cause
         return solve(system, mesh)
@@ -341,8 +343,10 @@ def test_failed_solve_ahead_raises_at_its_p(monkeypatch):
         harness.run_experiment(config)
     assert err.value.p == plan.p[2]
     assert err.value.__cause__ is cause
-    # once ahead, in a thread, and once more by the image call that raises
-    assert len(bad_solves) == 2
+    # ahead, in a thread: in its chunk's stack, then alone; and once more
+    # by the image call that raises
+    assert len(bad_solves) == 3
+    assert np.size(bad_solves[0]) > 1 and all(np.size(q) == 1 for q in bad_solves[1:])
 
 
 def test_experiment_accounting_and_flags(tiny_a):
@@ -583,3 +587,11 @@ def test_cli_rejects_non_finite_times(tmp_path, capsys):
     assert cli.main(["--experiment", "B", "--t-range", "0.01:inf",
                      "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENT_DEFAULTS))
+def test_shipped_configs_restate_the_defaults(experiment):
+    # a changed default cannot leave the shipped files behind
+    path = Path(__file__).resolve().parents[1] / "configs" / f"experiment_{experiment.lower()}.cfg"
+    config = cli._experiment_config(cli._parse_config_file(str(path)))
+    assert config.resolved() == harness.ExperimentConfig(experiment).resolved()

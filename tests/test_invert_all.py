@@ -224,3 +224,64 @@ def test_groups_of_different_node_counts_are_rejected():
     plan = SamplePlan("stehfest", grid, p.astype(complex), groups, p.size)
     with pytest.raises(PlanMismatchError, match="node count"):
         invert_all("stehfest", evaluate_image(plan, lambda p: 1.0 / p), grid)
+
+
+def _clean(method, plan):
+    return invert_all(method, evaluate_image(plan, lambda p: 1.0 / p), plan.grid)
+
+
+def _assert_only_group_fails(method, plan, samples, bad_group, clean):
+    """The bad group's times are a flagged NaN; every other time has the
+    bits and flags of the plan inverted in one pass from clean samples."""
+    result = invert_all(method, samples, plan.grid)
+    bad = set(plan.groups[bad_group].time_indices.tolist())
+    assert bad
+    for i in range(len(plan.grid)):
+        if i in bad:
+            assert result.flags[i] == (core.FLAG_INVERSION_FAILED,)
+            assert np.all(np.isnan(result.values[i]))
+        else:
+            assert result.flags[i] == clean.flags[i]
+            assert np.array_equal(result.values[i], clean.values[i])
+
+
+def _complex_in_group(plan, group):
+    nodes = plan.groups[group].node_indices
+    assert not any(np.isin(nodes, g.node_indices).any()
+                   for i, g in enumerate(plan.groups) if i != group)
+    samples = evaluate_image(plan, lambda p: 1.0 / p)
+    samples.values[nodes] += 1j
+    return samples
+
+
+def test_complex_samples_of_one_schapery_group_fail_it_alone():
+    grid = make_time_grid(0.01, 10.0, 7, "logarithmic")
+    plan = plan_samples("schapery", grid, 12, SLC)
+    assert len(plan.groups) == 4
+    _assert_only_group_fails("schapery", plan, _complex_in_group(plan, 0), 0,
+                             _clean("schapery", plan))
+
+
+def test_one_complex_stehfest_time_fails_alone():
+    grid = make_time_grid(0.1, 1.0, 5, "logarithmic")
+    plan = plan_samples("stehfest", grid, 12, PTO)
+    _assert_only_group_fails("stehfest", plan, _complex_in_group(plan, 2), 2,
+                             _clean("stehfest", plan))
+
+
+def test_singular_schapery_group_fails_alone(monkeypatch):
+    grid = make_time_grid(0.01, 10.0, 7, "logarithmic")
+    plan = plan_samples("schapery", grid, 12, SLC)
+    samples = evaluate_image(plan, lambda p: 1.0 / p)
+    clean = _clean("schapery", plan)
+    bad_nodes = plan.groups[1].params.nodes
+    collocation = alg._collocation
+
+    def singular(nodes):
+        lu, ipiv, info, cond = collocation(nodes)
+        return lu, ipiv, 1 if nodes == bad_nodes else info, cond
+
+    monkeypatch.setattr(alg, "_collocation", singular)
+    with pytest.raises(alg.SingularFitError):
+        alg.schapery_fit(samples.values[plan.groups[1].node_indices], plan.groups[1].params)
+    _assert_only_group_fails("schapery", plan, samples, 1, clean)
