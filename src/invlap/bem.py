@@ -142,56 +142,27 @@ class BoundaryMesh:
         return {}
 
 
-_SIDE_ORDER = ("bottom", "right", "top", "left")
-
-
-def discretize_rectangle(width: float, height: float, n_per_unit: int,
-                         bc: dict) -> BoundaryMesh:
-    """Mesh the rectangle [0,w] x [0,h] with uniform elements per side.
-
-    `bc` maps each of 'bottom', 'right', 'top', 'left' to a
-    (kind, spatial value) pair with kind 'dirichlet' or 'neumann'; the
-    mesh checks the kinds.
-    """
-    # two negative sides pass the mesh's checks, with the side names swapped
-    if width <= 0 or height <= 0:
-        raise ValueError("rectangle dimensions must be positive")
+def benchmark_rectangle_mesh(n_per_unit: int = 8) -> BoundaryMesh:
+    """The BENCH_LENGTH x BENCH_HEIGHT test rectangle [0, L] x [0, H] with
+    round(side length * n_per_unit) uniform elements per side: potential
+    -BENCH_AMPLITUDE|+BENCH_AMPLITUDE at the short ends x = 0 and x = L,
+    insulated long sides.  Any other mesh is built with
+    :class:`BoundaryMesh`, which checks it."""
     if n_per_unit < 1:
         raise ValueError("n_per_unit must be >= 1")
-    missing = set(_SIDE_ORDER) - set(bc)
-    if missing:
-        raise ValueError(f"missing boundary condition for sides: {sorted(missing)}")
-
-    corners = {
-        "bottom": (np.array([0.0, 0.0]), np.array([width, 0.0])),
-        "right": (np.array([width, 0.0]), np.array([width, height])),
-        "top": (np.array([width, height]), np.array([0.0, height])),
-        "left": (np.array([0.0, height]), np.array([0.0, 0.0])),
-    }
+    corners = np.array([[0.0, 0.0], [BENCH_LENGTH, 0.0],
+                        [BENCH_LENGTH, BENCH_HEIGHT], [0.0, BENCH_HEIGHT]])
+    # bottom, right, top and left, counterclockwise from the origin
+    sides = ((NEUMANN, 0.0), (DIRICHLET, BENCH_AMPLITUDE),
+             (NEUMANN, 0.0), (DIRICHLET, -BENCH_AMPLITUDE))
     starts, kinds, values = [], [], []
-    for side in _SIDE_ORDER:
-        kind, value = bc[side]
-        a, b = corners[side]
+    for a, b, (kind, value) in zip(corners, np.roll(corners, -1, axis=0), sides):
         m = int(round(np.linalg.norm(b - a) * n_per_unit))
-        if m < 1:
-            raise ValueError(f"side {side!r} resolves to zero elements")
         fractions = np.linspace(0.0, 1.0, m + 1)
         starts.append(a[None, :] + fractions[:-1, None] * (b - a)[None, :])
         kinds.extend([kind] * m)
-        values.extend([float(value)] * m)
+        values.extend([value] * m)
     return BoundaryMesh(np.vstack(starts), tuple(kinds), np.array(values))
-
-
-def benchmark_rectangle_mesh(n_per_unit: int = 8) -> BoundaryMesh:
-    """The BENCH_LENGTH x BENCH_HEIGHT test rectangle: potential
-    -BENCH_AMPLITUDE|+BENCH_AMPLITUDE at the short ends, insulated long
-    sides."""
-    return discretize_rectangle(BENCH_LENGTH, BENCH_HEIGHT, n_per_unit, {
-        "left": (DIRICHLET, -BENCH_AMPLITUDE),
-        "right": (DIRICHLET, BENCH_AMPLITUDE),
-        "bottom": (NEUMANN, 0.0),
-        "top": (NEUMANN, 0.0),
-    })
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ output times.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -153,11 +154,12 @@ class TimeSeriesResult:
 class _Method:
     """Everything the planner and `invert_all` know about one inverter.
 
-    rule_of_thumb(terms, t_lo, t_hi, sigma) gives the free parameters for
-    a group of times spanning [t_lo, t_hi]; nodes(params, t_hi) gives the
-    group's Laplace parameters; invert(samples, params, times) inverts a
-    (groups, nodes, *channels) sample stack at each group's times and
-    returns (values, flags) in group order.  per_time marks a method whose
+    rule_of_thumb(terms, t_lo, t_hi) gives the free parameters for a
+    group of times spanning [t_lo, t_hi], taking the abscissa of
+    convergence as 0; nodes(params, t_hi) gives the group's Laplace
+    parameters; invert(samples, params, times) inverts a (groups, nodes,
+    *channels) sample stack at each group's times and returns (values,
+    flags) in group order.  per_time marks a method whose
     nodes depend explicitly on t, so it can only plan per time.
     """
 
@@ -170,24 +172,24 @@ class _Method:
 #: The one place that knows each method; a new inverter is one entry.
 _METHODS = {
     "stehfest": _Method(
-        rule_of_thumb=lambda terms, lo, hi, sigma: alg.StehfestParams.rule_of_thumb(terms),
+        rule_of_thumb=lambda terms, lo, hi: alg.StehfestParams.rule_of_thumb(terms),
         nodes=lambda params, t: alg.stehfest_nodes(t, params).astype(complex),
         invert=alg.stehfest_batch,
         per_time=True),
     "schapery": _Method(
-        rule_of_thumb=lambda terms, lo, hi, sigma: alg.SchaperyParams.geometric(terms, lo, hi),
+        rule_of_thumb=lambda terms, lo, hi: alg.SchaperyParams.geometric(terms, lo, hi),
         nodes=lambda params, t: np.asarray(params.nodes, dtype=complex),
         invert=alg.schapery_batch),
     "weeks": _Method(
-        rule_of_thumb=lambda terms, lo, hi, sigma: alg.WeeksParams.rule_of_thumb(terms, hi, sigma),
+        rule_of_thumb=lambda terms, lo, hi: alg.WeeksParams.rule_of_thumb(terms, hi),
         nodes=lambda params, t: alg.weeks_nodes(params),
         invert=alg.weeks_batch),
     "talbot": _Method(
-        rule_of_thumb=lambda terms, lo, hi, sigma: alg.TalbotParams.rule_of_thumb(terms, hi),
+        rule_of_thumb=lambda terms, lo, hi: alg.TalbotParams.rule_of_thumb(terms, hi),
         nodes=lambda params, t: alg.talbot_contour(params.r, params.n_nodes),
         invert=alg.talbot_batch),
     "dehoog": _Method(
-        rule_of_thumb=lambda terms, lo, hi, sigma: alg.DeHoogParams.rule_of_thumb(terms, hi, sigma),
+        rule_of_thumb=lambda terms, lo, hi: alg.DeHoogParams.rule_of_thumb(terms, hi),
         nodes=lambda params, t: alg.dehoog_nodes(params),
         invert=alg.dehoog_batch),
 }
@@ -248,8 +250,7 @@ def _dedup(nodes: list) -> tuple:
 
 
 def plan_samples(method: str, grid: TimeGrid, terms: int,
-                 strategy: SamplingStrategy, params=None, *,
-                 sigma: float = 0.0) -> SamplePlan:
+                 strategy: SamplingStrategy, params=None) -> SamplePlan:
     """Plan every distinct Laplace parameter needed to invert a time grid.
 
     PER_TIME_OPTIMAL emits each method's rule-of-thumb nodes per time;
@@ -262,9 +263,20 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
     accept only PER_TIME_OPTIMAL.  Odd Stehfest term requests are
     rounded up to the next even order and the effective order is recorded
     in the group parameters.
+
+    `terms` must be an integer >= 1, a numpy integer too.  `params`, if
+    given, serves every group in place of the rule of thumb, which takes
+    the abscissa of convergence as 0: an image that converges only for
+    Re p > sigma > 0 plans Weeks or de Hoog with params from
+    ``WeeksParams.rule_of_thumb(terms, grid.t_max, sigma)`` or
+    ``DeHoogParams.rule_of_thumb(terms, grid.t_max, sigma)``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    try:
+        terms = operator.index(terms)
+    except TypeError:
+        raise ValueError(f"terms must be an integer, not {terms!r}") from None
     if terms < 1:
         raise ValueError("terms must be >= 1")
     spec = _METHODS[method]
@@ -289,8 +301,7 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
     for part in partitions:
         t_lo = float(times[part[0]])
         t_hi = float(times[part[-1]])
-        g_params = params if params is not None else spec.rule_of_thumb(
-            terms, t_lo, t_hi, sigma)
+        g_params = params if params is not None else spec.rule_of_thumb(terms, t_lo, t_hi)
         node_lists.append(spec.nodes(g_params, t_hi))
         groups.append((g_params, part))
 

@@ -139,10 +139,10 @@ class BemImage(CountingImage):
     deduplicated total must match; ``solves`` counts the solves this image
     actually ran, and ``flags`` holds the flags of
     :func:`bem.eval_interior` at the observation point once the image has
-    been called.  :meth:`solve_ahead` runs a plan's missing
-    solves across threads, in chunks of p whose wavenumbers each BEM stage
-    takes as one stack; the image, its counters and the memo are used
-    from the calling thread only.
+    been called.  Every solve goes through :meth:`solve_ahead`: a plan's
+    missing p ahead of its evaluation, or the one p of an image call that
+    misses the memo.  The image, its counters and the memo are used from
+    the calling thread only.
     """
 
     def __init__(self, mesh: bem.BoundaryMesh, observation, behavior):
@@ -173,73 +173,70 @@ class BemImage(CountingImage):
         transfers.flags.writeable = False
         return [(transfer, flags) for transfer in transfers]
 
-    def _solve(self, p: complex) -> tuple:
-        entry, = self._solve_chunk([p])
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
+    def solve_ahead(self, p_values, workers: int) -> dict:
+        """Solve the p in `p_values` that the memo lacks, on up to
+        `workers` threads, and memoise them, so that calling the image on
+        them only reads the memo.  Returns the bits of each p solved ->
+        its (transfer, flags), or the exception its solve raised.
 
-    def _transfer(self, p: complex):
-        # bits, not value: -0.0 == 0.0, but sqrt takes its branch from the sign
-        key = np.complex128(p).tobytes()
-        entry = self._transfers.get(key)
-        if entry is None:
-            entry = self._solve(p)
-            self.solves += 1
-            if len(self._transfers) < _TRANSFERS_PER_KEY:
-                self._transfers[key] = entry
-        return entry
-
-    def solve_ahead(self, p_values, workers: int) -> None:
-        """Memoise the solves of the p in `p_values` that the memo lacks,
-        run across `workers` threads, so that calling the image on them
-        only reads the memo.
-
-        The p are split into chunks of at most _KERNEL_BLOCK_POINTS kernel
-        arguments (one p where one p has more), as many as a multiple of
-        `workers`, so that the threads get even shares.  Real and complex
-        p go to different chunks, since a real q in a complex stack would
-        be solved in complex arithmetic.  A chunk makes one call of each
-        BEM stage on the stack of its wavenumbers, so its K0/K1 take two
-        calls, which numpy runs without the GIL when they have more than
-        500 arguments (one p's 385 at the point at density 8 do not).
-        Fewer and longer calls, most likely, leave
-        the threads less time waiting for the GIL: on a 20-element mesh,
-        where a chunk holds six p, the 166 p of the ``bem-per-time``
+        Only as many p are solved as the memo has room for, and at least
+        one, so that an image call that misses a full memo still gets its
+        value.  The p are split into chunks of at most
+        _KERNEL_BLOCK_POINTS kernel arguments (one p where one p has
+        more), as many as a multiple of `workers`, so that the threads get
+        even shares.  Real and complex p go to different chunks, since a
+        real q in a complex stack would be solved in complex arithmetic.
+        A chunk makes one call of each BEM stage on the stack of its
+        wavenumbers, so its K0/K1 take two calls, which numpy runs without
+        the GIL when they have more than 500 arguments (one p's 385 at the
+        point at density 8 do not).  Fewer and longer calls, most likely,
+        leave the threads less time waiting for the GIL: on a 20-element
+        mesh, where a chunk holds six p, the 166 p of the ``bem-per-time``
         benchmark took 89 ms on two threads against 113 ms one p at a time
-        (132 ms on one thread, 2 vCPUs).  Every row of a stack has the bits
-        of its p's own solve, so values, flags and ``solves`` are
-        bit-identical to the image calls'; a solve that raises is left for
-        the image call to raise with its p.  The mesh geometry is built
-        here, before any thread starts.  With one worker, or fewer than two
-        such p, no thread starts.
+        (132 ms on one thread, 2 vCPUs).  With one worker, or one chunk,
+        the chunks run inline and no thread starts.  Every row of a stack
+        has the bits of its p's own solve, so values, flags and ``solves``
+        do not depend on the chunks or the workers; a solve that raises is
+        not memoised, and the image call raises it with its p.  The mesh
+        geometry is built here, before any thread starts.
         """
-        if workers < 2:
-            return
         transfers = self._transfers
         missing = {np.complex128(p).tobytes(): p for p in p_values}
         missing = [(key, p) for key, p in missing.items() if key not in transfers]
-        missing = missing[:_TRANSFERS_PER_KEY - len(transfers)]
-        if len(missing) < 2:
-            return
+        missing = missing[:max(1, _TRANSFERS_PER_KEY - len(transfers))]
+        if not missing:
+            return {}
         rows = max(1, _KERNEL_BLOCK_POINTS // bem.kernel_arguments(self.mesh, self.observation))
         n_chunks = min(len(missing), workers * -(-len(missing) // (rows * workers)))
         missing.sort(key=lambda item: np.complex128(item[1]).imag != 0)
         n_real = sum(np.complex128(p).imag == 0 for _, p in missing)
         bounds = sorted({len(missing) * i // n_chunks for i in range(n_chunks + 1)} | {n_real})
-        chunks = [missing[a:b] for a, b in zip(bounds, bounds[1:])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(chunk, pool.submit(self._solve_chunk, [p for _, p in chunk]))
-                       for chunk in chunks]
-        for chunk, future in futures:
-            for (key, _), entry in zip(chunk, future.result()):
-                if not isinstance(entry, Exception):
+        chunks = [[p for _, p in missing[a:b]] for a, b in zip(bounds, bounds[1:])]
+        if workers < 2 or len(chunks) < 2:
+            entries = [entry for chunk in chunks for entry in self._solve_chunk(chunk)]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(self._solve_chunk, chunk) for chunk in chunks]
+            entries = [entry for future in futures for entry in future.result()]
+        solved = {}
+        for (key, _), entry in zip(missing, entries):
+            solved[key] = entry
+            if not isinstance(entry, Exception):
+                self.solves += 1
+                if len(transfers) < _TRANSFERS_PER_KEY:
                     transfers[key] = entry
-                    self.solves += 1
+        return solved
 
     def _image(self, p: complex):
+        # bits, not value: -0.0 == 0.0, but sqrt takes its branch from the sign
+        key = np.complex128(p).tobytes()
+        entry = self._transfers.get(key)
+        if entry is None:
+            entry = self.solve_ahead([p], 1)[key]
+            if isinstance(entry, Exception):
+                raise entry
         # the flags depend on the point only, so every p gives the same
-        transfer, self.flags = self._transfer(p)
+        transfer, self.flags = entry
         return transfer * self.behavior.image(p)
 
 

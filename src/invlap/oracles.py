@@ -40,9 +40,6 @@ class TimeBehavior:
     time_function: callable
     tau: float = 0.0
 
-    def __call__(self, t):
-        return self.time_function(t)
-
 
 def _heaviside_image(p):
     return 1.0 / p
@@ -83,8 +80,6 @@ HEAVISIDE = TimeBehavior("heaviside", _heaviside_image, _heaviside_time)
 COSINE4T = TimeBehavior("cosine4t", _cosine4_image, _cosine4_time)
 DELAYED_STEP = TimeBehavior("delayed-step", _delayed_image, _delayed_time,
                             tau=DELAY_TAU)
-
-BEHAVIORS = {b.name: b for b in (HEAVISIDE, COSINE4T, DELAYED_STEP)}
 
 #: The behaviours :func:`benchmark_time_series_1d` solves: the step and
 #: the delayed step.

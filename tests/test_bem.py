@@ -100,23 +100,6 @@ def test_directly_built_mesh_is_validated(corrupt):
         bem.BoundaryMesh(starts, tuple(kinds), values)
 
 
-def test_bad_bc_spec_rejected():
-    with pytest.raises(ValueError):
-        bem.discretize_rectangle(3.0, 2.0, 2, {"left": (bem.DIRICHLET, 0.0)})
-    with pytest.raises(ValueError):
-        bem.discretize_rectangle(3.0, 2.0, 2, {
-            "left": ("robin", 0.0), "right": (bem.DIRICHLET, 0.0),
-            "top": (bem.NEUMANN, 0.0), "bottom": (bem.NEUMANN, 0.0)})
-
-
-@pytest.mark.parametrize("width, height", [(-3.0, 2.0), (-3.0, -2.0), (0.0, 2.0)])
-def test_rectangle_sides_must_be_positive(width, height):
-    bc = {"left": (bem.DIRICHLET, -2.0), "right": (bem.DIRICHLET, 2.0),
-          "top": (bem.NEUMANN, 0.0), "bottom": (bem.NEUMANN, 0.0)}
-    with pytest.raises(ValueError, match="dimensions must be positive"):
-        bem.discretize_rectangle(width, height, 2, bc)
-
-
 def test_used_mesh_pickles():
     mesh = bem.benchmark_rectangle_mesh(2)
     phi, grad, _ = _solve_interior(mesh, 2.0 + 1.0j)

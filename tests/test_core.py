@@ -104,6 +104,19 @@ def test_unknown_method_rejected():
         plan_samples("piessens", grid, 8, SG)
 
 
+@pytest.mark.parametrize("method", core.METHODS)
+def test_non_integer_terms_rejected(method):
+    # 12.5 used to raise TypeError for Talbot and Schapery, plan 13 Weeks
+    # nodes that failed at every time, and plan de Hoog at order 12
+    grid = make_time_grid(0.1, 10.0, 5)
+    strategy = PTO if method in core.PER_TIME_METHODS else SG
+    for terms in (12.5, 12.0, "12"):
+        with pytest.raises(ValueError, match="terms must be an integer"):
+            plan_samples(method, grid, terms, strategy)
+    assert np.array_equal(plan_samples(method, grid, np.int64(12), strategy).p,
+                          plan_samples(method, grid, 12, strategy).p)
+
+
 @pytest.mark.parametrize("make", [
     lambda: alg.TalbotParams(r=math.nan, n_nodes=8),
     lambda: alg.TalbotParams(r=math.inf, n_nodes=8),
@@ -390,20 +403,24 @@ def test_dispatch_matches_algorithms(method):
     grids = (make_time_grid(0.02, 20.0, 7, "logarithmic"),
              make_time_grid(0.25, 3.0, 7, "linear"))
     for grid in grids:
+        # a Weeks or de Hoog abscissa sigma > 0 reaches the plan as params
+        abscissa = {"weeks": alg.WeeksParams.rule_of_thumb(12, grid.t_max, 0.25),
+                    "dehoog": alg.DeHoogParams.rule_of_thumb(12, grid.t_max, 0.25)}
         for strategy in strategies:
-            plan = plan_samples(method, grid, 12, strategy, sigma=0.25)
-            samples = evaluate_image(plan, image)
-            result = invert_all(method, samples, grid)
-            covered = np.zeros(len(grid), dtype=bool)
-            for group in plan.groups:
-                invert = _direct_inversion(
-                    method, samples.values[group.node_indices], group.params)
-                for ti in group.time_indices:
-                    value, flags = invert(float(grid.times[ti]))
-                    assert np.array_equal(result.values[ti], value), (strategy, ti)
-                    assert result.flags[ti] == tuple(flags), (strategy, ti)
-                    covered[ti] = True
-            assert covered.all()
+            for params in (None, abscissa[method]) if method in abscissa else (None,):
+                plan = plan_samples(method, grid, 12, strategy, params)
+                samples = evaluate_image(plan, image)
+                result = invert_all(method, samples, grid)
+                covered = np.zeros(len(grid), dtype=bool)
+                for group in plan.groups:
+                    invert = _direct_inversion(
+                        method, samples.values[group.node_indices], group.params)
+                    for ti in group.time_indices:
+                        value, flags = invert(float(grid.times[ti]))
+                        assert np.array_equal(result.values[ti], value), (strategy, ti)
+                        assert result.flags[ti] == tuple(flags), (strategy, ti)
+                        covered[ti] = True
+                assert covered.all()
 
 
 def test_cached_inverter_pieces_are_read_only():

@@ -111,7 +111,8 @@ def test_exp_overflow_gives_flagged_nan_through_invert_all():
     # gamma0 t passes the exp limit at the last time only; that time is a
     # flagged NaN and the sweep goes on
     grid = make_time_grid(0.5, 2.0, 3)
-    plan = plan_samples("dehoog", grid, 15, SamplingStrategy.SHARED_GLOBAL, sigma=400.0)
+    plan = plan_samples("dehoog", grid, 15, SamplingStrategy.SHARED_GLOBAL,
+                        DeHoogParams.rule_of_thumb(15, grid.t_max, sigma=400.0))
     assert plan.groups[0].params.gamma0 * grid.t_max > alg._EXP_LIMIT
     result = invert_all("dehoog", evaluate_image(plan, lambda p: 1.0 / p), grid)
     assert math.isnan(result.values[-1])

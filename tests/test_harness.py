@@ -281,15 +281,33 @@ def _count_thread_starts(monkeypatch) -> list:
 
 
 def test_one_worker_starts_no_thread(monkeypatch):
+    # one worker runs the chunks of two workers' path inline, to the bit
+    harness._transfers.cache_clear()
+    threaded = harness.run_experiment(harness.ExperimentConfig(experiment="A", **TINY))
+
     def refuse(self):
         raise AssertionError(f"thread {self.name!r} started")
 
+    chunk_sizes = []
+    solve_chunk = harness.BemImage._solve_chunk
+
+    def recorded(self, p_values):
+        chunk_sizes.append(len(p_values))
+        return solve_chunk(self, p_values)
+
     monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(harness.BemImage, "_solve_chunk", recorded)
     harness._benchmark_mesh.cache_clear()
     harness._transfers.cache_clear()
     result = harness.run_experiment(harness.ExperimentConfig(experiment="A", workers=1, **TINY))
     assert set(result.runs) == set(METHODS)
     assert sum(run.model_solves for run in result.runs.values()) > 0
+    assert max(chunk_sizes) > 1
+    for method, run in result.runs.items():
+        other = threaded.runs[method]
+        assert run.potential.tobytes() == other.potential.tobytes()
+        assert run.flux.tobytes() == other.flux.tobytes()
+        assert (run.flags, run.model_solves) == (other.flags, other.model_solves)
 
 
 def test_solve_ahead_threads_only_the_missing_solves(monkeypatch):

@@ -76,7 +76,7 @@ def test_strategies_channels_and_params_match_reference(method, channels):
     for grid in grids:
         for strategy in _strategies(method):
             for params in (None, FIXED_PARAMS[method]):
-                plan = plan_samples(method, grid, 12, strategy, params, sigma=0.25)
+                plan = plan_samples(method, grid, 12, strategy, params)
                 result = _assert_matches_reference(method, evaluate_image(plan, image), grid)
                 assert result.values.shape == (len(grid),) + ((2,) if channels == 2 else ())
 
@@ -152,9 +152,12 @@ def test_talbot_tail_and_exp_overflow_times_match_reference():
 
 @pytest.mark.parametrize("method", ("weeks", "dehoog"))
 def test_exp_overflow_times_match_reference(method):
+    # gamma0 t, or kappa t, passes the exp limit at the last time only
     grid = make_time_grid(0.5, 2.0, 5)
+    params = {"weeks": alg.WeeksParams, "dehoog": alg.DeHoogParams}[method].rule_of_thumb(
+        15, grid.t_max, sigma=400.0)
     for strategy in SamplingStrategy:
-        plan = plan_samples(method, grid, 15, strategy, sigma=400.0)
+        plan = plan_samples(method, grid, 15, strategy, params)
         result = _assert_matches_reference(method, evaluate_image(plan, lambda p: 1.0 / p), grid)
         assert result.flags[-1] == (alg.FLAG_EXP_OVERFLOW,)
 

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 import reference_cn
 from invlap import oracles
 from invlap.core import make_time_grid
-from invlap.oracles import (BEHAVIORS, COSINE4T, DELAYED_STEP, HEAVISIDE,
-                            benchmark_laplace_1d, benchmark_laplace_1d_flux,
-                            benchmark_time_series_1d, crank_nicolson_1d,
-                            pair_catalog)
+from invlap.oracles import (COSINE4T, DELAYED_STEP, HEAVISIDE, benchmark_laplace_1d,
+                            benchmark_laplace_1d_flux, benchmark_time_series_1d,
+                            crank_nicolson_1d, pair_catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +311,3 @@ def test_fd_rejects_bad_output_times(times):
     # unsorted times used to leave output slots unwritten (potential 6.9e-310)
     with pytest.raises(ValueError, match="times must be"):
         crank_nicolson_1d(1.0, np.array(times, dtype=float), HEAVISIDE, nx=32)
-
-
-def test_behavior_registry():
-    assert set(BEHAVIORS) == {"heaviside", "cosine4t", "delayed-step"}
-    assert BEHAVIORS["delayed-step"].tau == pytest.approx(0.08)
