@@ -23,6 +23,7 @@ The one-time inverters are the one-group case of the batch forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,6 +98,15 @@ def _dot_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.dot(a, b.reshape(b.shape[0], -1)).reshape(a.shape[:-1] + b.shape[1:])
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, a numpy integer too; a ValueError for anything
+    else, such as a float order, which would plan a fractional count."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """Freeze an array that a cache hands out to every caller."""
     arr.flags.writeable = False
@@ -115,6 +125,7 @@ class StehfestParams:
     allow_large: bool = False
 
     def __post_init__(self):
+        _integer("Stehfest order n_terms", self.n_terms)
         if self.n_terms < 2 or self.n_terms % 2:
             raise ValueError("Stehfest order must be an even integer >= 2")
         if self.n_terms > STEHFEST_DEFAULT_MAX_TERMS and not self.allow_large:
@@ -176,6 +187,8 @@ class WeeksParams:
     m_half: int
 
     def __post_init__(self):
+        _integer("Weeks order n_coeffs", self.n_coeffs)
+        _integer("Weeks midpoint half-count m_half", self.m_half)
         if not 0.0 < self.b < math.inf:
             raise ValueError(f"Weeks scale b must be positive and finite, got {self.b!r}")
         if not math.isfinite(self.kappa):
@@ -204,7 +217,7 @@ class TalbotParams:
         if not 0.0 < self.r < math.inf:
             raise ValueError(f"Talbot contour scale r must be positive and finite, "
                              f"got {self.r!r}")
-        if self.n_nodes < 2:
+        if _integer("Talbot node count n_nodes", self.n_nodes) < 2:
             raise ValueError("Talbot needs at least 2 nodes")
 
     @classmethod
@@ -226,7 +239,7 @@ class DeHoogParams:
             raise ValueError(f"scaling period T must be positive and finite, got {self.big_t!r}")
         if not math.isfinite(self.gamma0):
             raise ValueError(f"abscissa gamma0 must be finite, got {self.gamma0!r}")
-        if self.m_half < 1:
+        if _integer("de Hoog order m_half", self.m_half) < 1:
             raise ValueError("need M >= 1 (2M+1 >= 3 terms)")
 
     @classmethod

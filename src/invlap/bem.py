@@ -8,7 +8,8 @@ wavenumber q, which every real Laplace parameter p gives, keeps the
 kernels, the matrices, the solve and the interior values in float64; a
 complex q makes all of them complex128.  The collocation matrices and
 interior values take their layer integrals from one quadrature rule,
-whose geometry is built once per mesh and per interior point.
+held as q-independent sparse operators built once per mesh and per
+interior point, so that a stage's layer integrals are one product each.
 :func:`assemble`, :func:`solve_boundary` and :func:`eval_interior` take
 one wavenumber or a 1-D array of them; an array gives stacks, one row
 per wavenumber, bit for bit the values of its own scalar call, from one
@@ -28,6 +29,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .specfun import EULER_GAMMA, k01_values
 
@@ -210,26 +212,23 @@ def _gauss_points(mesh: BoundaryMesh, split: int):
 class _LayerQuadrature:
     """The q-independent part of the layer integrals from a set of targets.
 
-    Pair k couples target rows[k] with element cols[k].  Its G and H
-    entries sum the quadrature points starts[k] up to starts[k + 1] of the
-    flat point arrays: the far rule, or the composite rule within
-    NEAR_FIELD_FACTOR element lengths.  Point m lies at distance
-    r[index[m]] from its target, in the unit direction unit[m], and carries
-    the weight of K0 in G and of q K1 in H.  A target on an element's
-    midpoint is that element's collocation point: the pair is left to the
-    self integral, which samples K0 at the distances r[self_index[k]] on
-    half the element.  r holds each distinct distance once.
+    Row target * n + element of an operator holds the quadrature weights
+    of that pair over the distinct distances r, each held once: the far
+    rule, or the composite rule within NEAR_FIELD_FACTOR element lengths.
+    The pair's G entry is g @ K0(q r) and its H entry q (h @ K1(q r)).
+    A set of points also gets grad_g and grad_h: the same weights times
+    the unit direction from the point, x rows and then y rows.  A target on an
+    element's midpoint is that element's collocation point: its row is
+    empty, and the pair is left to the self integral, which samples K0 at
+    the distances r[self_index[k]] on half the element.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    starts: np.ndarray
-    index: np.ndarray
-    g_weight: np.ndarray
-    h_weight: np.ndarray
-    unit: np.ndarray
+    g: sparse.csr_array
+    h: sparse.csr_array
     self_index: np.ndarray
     r: np.ndarray
+    grad_g: sparse.csr_array | None = None
+    grad_h: sparse.csr_array | None = None
 
 
 def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
@@ -240,13 +239,13 @@ def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
     point that is not a collocation point.  A pair takes the composite
     rule when the target is closer to the element's midpoint than
     NEAR_FIELD_FACTOR times the longer of the two lengths, else the far
-    rule.
+    rule.  Only points, all of length 0, get gradient operators.
     """
     dist = np.linalg.norm(targets[:, None, :] - mesh.midpoints[None, :, :], axis=-1)
     scale = np.maximum(target_lengths[:, None], mesh.lengths[None, :])
     near = dist < NEAR_FIELD_FACTOR * scale
     own = dist == 0.0
-    rows, cols, r, g_weight, h_weight, unit, counts = [], [], [], [], [], [], []
+    rows, r, g_weight, h_weight, unit = [], [], [], [], []
     for pairs, split in ((~near, 1), (near & ~own, NEAR_FIELD_SPLIT)):
         i, j = np.nonzero(pairs)
         pts, w = _gauss_points(mesh, split)
@@ -254,13 +253,11 @@ def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
         rij = np.linalg.norm(rvec, axis=-1)
         costh = np.einsum("mgd,md->mg", rvec, mesh.normals[j]) / rij
         wl = (mesh.lengths[j][:, None] / 2.0) * w[None, :] / (2.0 * np.pi)
-        rows.append(i)
-        cols.append(j)
+        rows.append(np.repeat(i * mesh.n_elements + j, w.size))
         r.append(rij.ravel())
         g_weight.append(wl.ravel())
         h_weight.append(-(wl * costh).ravel())
         unit.append((rvec / rij[..., None]).reshape(-1, 2))
-        counts.append(np.full(i.size, w.size))
 
     # K0(qs) = R(qs) - ln(qs/2) - gamma with R smooth and R(0) = 0: the log
     # part of a self integral is integrated in closed form over the half
@@ -272,35 +269,40 @@ def _layer_quadrature(mesh: BoundaryMesh, targets: np.ndarray,
     r_distinct, inverse = np.unique(r_all, return_inverse=True)
     inverse = inverse.ravel()
     n_points = r_all.size - self_s.size
-    counts = np.concatenate(counts)
+    rows = np.concatenate(rows)
+    shape = (targets.shape[0] * mesh.n_elements, r_distinct.size)
+
+    def operator(*weights):
+        # one block of pair rows per weight; a pair's repeated distances sum
+        return sparse.vstack([sparse.csr_array((w, (rows, inverse[:n_points])), shape=shape)
+                              for w in weights], format="csr")
+
+    g_weight, h_weight = np.concatenate(g_weight), np.concatenate(h_weight)
+    unit = np.concatenate(unit).T
+    grads = {} if target_lengths.any() else {
+        "grad_g": operator(*(g_weight * unit)), "grad_h": operator(*(h_weight * unit))}
     return _LayerQuadrature(
-        rows=np.concatenate(rows), cols=np.concatenate(cols),
-        starts=np.cumsum(counts) - counts, index=inverse[:n_points],
-        g_weight=np.concatenate(g_weight), h_weight=np.concatenate(h_weight),
-        unit=np.concatenate(unit), self_index=inverse[n_points:].reshape(self_s.shape),
-        r=r_distinct)
+        g=operator(g_weight), h=operator(h_weight),
+        self_index=inverse[n_points:].reshape(self_s.shape), r=r_distinct, **grads)
+
+
+def _apply(op: sparse.csr_array, kernel: np.ndarray) -> np.ndarray:
+    """op times each row of the stack kernel, as a C-ordered stack: in
+    another layout a stacked row rounds unlike its scalar call."""
+    return np.ascontiguousarray((op @ kernel.T).T)
 
 
 def _layer_integrals(quad: _LayerQuadrature, q: np.ndarray):
     """K0 and K1 at each distinct q r, and the G and H entry of each pair,
-    for each wavenumber of the 1-D array q: one row per wavenumber.
-
-    One kernel call evaluates every row.  The sums run row by row, one 1-D
-    gather, product and reduceat each: a version that formed them as 2-D
-    stack operations made experiments A and B about 30% slower at density
-    8 on two solve threads, and no slower on one, most likely because
-    numpy ran them in pieces and handed the GIL to the other thread
-    between them.
-    """
+    for each wavenumber of the 1-D array q: one row per wavenumber, from
+    one kernel call and one operator product each."""
     k0, k1 = k01_values(np.multiply.outer(q, quad.r))
-    g = np.array([np.add.reduceat(row[quad.index] * quad.g_weight, quad.starts) for row in k0])
-    h = np.array([qi * np.add.reduceat(row[quad.index] * quad.h_weight, quad.starts)
-                  for qi, row in zip(q, k1)])
+    g = _apply(quad.g, k0)
+    h = q[:, None] * _apply(quad.h, k1)
     bad = ~(np.isfinite(g) & np.isfinite(h)).all(axis=0)
     if bad.any():
-        pairs = list(zip(quad.rows[bad][:3].tolist(), quad.cols[bad][:3].tolist()))
-        raise FloatingPointError(
-            f"non-finite kernel integrals at (target, element) pairs {pairs}")
+        raise FloatingPointError(f"non-finite kernel integrals at pair rows "
+                                 f"{np.flatnonzero(bad)[:3].tolist()} (target * n + element)")
     return k0, k1, g, h
 
 
@@ -308,8 +310,8 @@ def kernel_arguments(mesh: BoundaryMesh, point) -> int:
     """How many K0/K1 arguments one solve at `point` evaluates: the
     distinct distances of :func:`assemble` and :func:`eval_interior`.
 
-    Builds both quadratures and keeps them on the mesh, so solves that run
-    in other threads afterwards only read them.
+    Builds the operators of both quadratures and keeps them on the mesh,
+    so solves that run in other threads afterwards only read them.
     """
     interior = _interior_quadrature(mesh, np.asarray(point, dtype=float))[0]
     return mesh._assembly_quadrature.r.size + interior.r.size
@@ -324,7 +326,7 @@ def assemble(mesh: BoundaryMesh, q) -> HelmholtzSystem:
     Gauss-Legendre quadrature with near-field subdivision; the singular
     diagonal of G subtracts and integrates the log singularity in closed
     form, and the flat-element diagonal of H is exactly the 1/2 jump term.
-    The quadrature geometry is built once per mesh, and K0/K1 are
+    The quadrature operators are built once per mesh, and K0/K1 are
     evaluated once per distinct distance.  A 1-D array q gives (k, n, n)
     stacks, float64 only when every imaginary part is zero: a real q in a
     complex array is solved in complex arithmetic.
@@ -335,13 +337,11 @@ def assemble(mesh: BoundaryMesh, q) -> HelmholtzSystem:
     if np.all(qs.imag == 0):
         qs = qs.real
     quad = mesh._assembly_quadrature
-    k0, _, g_off, h_off = _layer_integrals(quad, qs)
+    k0, _, g, h = _layer_integrals(quad, qs)
 
     n = mesh.n_elements
-    gmat = np.empty((qs.size, n, n), dtype=g_off.dtype)
-    hmat = np.empty((qs.size, n, n), dtype=g_off.dtype)
-    gmat[:, quad.rows, quad.cols] = g_off
-    hmat[:, quad.rows, quad.cols] = h_off
+    gmat = g.reshape(qs.size, n, n)
+    hmat = h.reshape(qs.size, n, n)
     idx = np.arange(n)
     z = np.multiply.outer(qs, quad.r[quad.self_index])
     smooth = k0[:, quad.self_index] + np.log(0.5 * z) + EULER_GAMMA
@@ -426,34 +426,28 @@ def eval_interior(solution: BoundarySolution, mesh: BoundaryMesh, point):
     the gradient differentiates both kernels analytically (K1 terms).  The
     layer integrals take the quadrature of :func:`assemble`: the composite
     rule on elements whose midpoint lies within NEAR_FIELD_FACTOR element
-    lengths of the point, the far rule on the others.  Returns (phi, grad,
-    flags), float64 for a real q and real boundary data, with phi of shape
-    (k,) and grad of shape (k, 2) for a stacked solution; points outside
-    or within half an element length of the boundary are flagged rather
-    than rejected.  The quadrature geometry and flags of the last point
-    are kept on the mesh.
+    lengths of the point, the far rule on the others, as operator
+    products.  Returns (phi, grad, flags), float64 for a real q and real
+    boundary data, with phi of shape (k,) and grad of shape (k, 2) for a
+    stacked solution; points outside or within half an element length of
+    the boundary are flagged rather than rejected.  The quadrature
+    operators and flags of the last point are kept on the mesh.
     """
     quad, flags = _interior_quadrature(mesh, np.asarray(point, dtype=float))
     qs = np.atleast_1d(solution.q)
-    k0s, k1s, g_rows, h_rows = _layer_integrals(quad, qs)
-    phis, grads = [], []
-    for q, k0, k1, g_row, h_row, flux, phi_b in zip(
-            qs, k0s, k1s, g_rows, h_rows, np.atleast_2d(solution.flux),
-            np.atleast_2d(solution.phi)):
-        k0 = k0[quad.index]
-        k1 = k1[quad.index]
-        k1_r = k1 / quad.r[quad.index]
-        flux = flux[quad.cols]
-        phi_b = phi_b[quad.cols]
-        phis.append(g_row @ flux - h_row @ phi_b)
+    k0, k1, g, h = _layer_integrals(quad, qs)
+    flux = np.atleast_2d(solution.flux)[..., None]
+    phi_b = np.atleast_2d(solution.phi)[..., None]
+    phi = (g[:, None, :] @ flux - h[:, None, :] @ phi_b)[:, 0, 0]
 
-        # gradients of the kernels with respect to the evaluation point
-        grad_g = q * np.add.reduceat((k1 * quad.g_weight)[:, None] * quad.unit, quad.starts)
-        grad_h = q * (
-            np.add.reduceat(((q * k0 + 2.0 * k1_r) * quad.h_weight)[:, None] * quad.unit,
-                            quad.starts)
-            + np.add.reduceat(k1_r * quad.g_weight, quad.starts)[:, None] * mesh.normals[quad.cols])
-        grads.append(grad_g.T @ flux - grad_h.T @ phi_b)
+    # gradients of the kernels with respect to the evaluation point
+    k1_r = k1 / quad.r
+    stack = (qs.size, 2, mesh.n_elements)
+    grad_g = qs[:, None, None] * _apply(quad.grad_g, k1).reshape(stack)
+    grad_h = qs[:, None, None] * (
+        _apply(quad.grad_h, qs[:, None] * k0 + 2.0 * k1_r).reshape(stack)
+        + _apply(quad.g, k1_r)[:, None, :] * mesh.normals.T)
+    grad = (grad_g @ flux - grad_h @ phi_b)[..., 0]
     if np.ndim(solution.q) == 0:
-        return phis[0], grads[0], flags
-    return np.array(phis), np.array(grads), flags
+        return phi[0], grad[0], flags
+    return phi, grad, flags

@@ -11,7 +11,6 @@ output times.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -273,10 +272,7 @@ def plan_samples(method: str, grid: TimeGrid, terms: int,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    try:
-        terms = operator.index(terms)
-    except TypeError:
-        raise ValueError(f"terms must be an integer, not {terms!r}") from None
+    terms = alg._integer("terms", terms)
     if terms < 1:
         raise ValueError("terms must be >= 1")
     spec = _METHODS[method]

@@ -76,6 +76,8 @@ class ExperimentConfig:
         behavior, strategy, methods, terms = EXPERIMENT_DEFAULTS[self.experiment]
         if self.terms < 0:
             raise ConfigError(f"terms must be >= 0 (0 picks the default), got {self.terms}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         out = self
         if not out.methods:
             out = replace(out, methods=methods)

@@ -137,6 +137,26 @@ def test_params_reject_non_finite_values(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: alg.StehfestParams(12.0),
+    lambda: alg.WeeksParams.rule_of_thumb(12.5, 5.0),
+    lambda: alg.WeeksParams(kappa=0.1, b=1.0, n_coeffs=3, m_half=4.0),
+    lambda: alg.TalbotParams(r=1.0, n_nodes=12.5),
+    lambda: alg.DeHoogParams.rule_of_thumb(12.5, 5.0),
+    lambda: alg.DeHoogParams(big_t=2.0, gamma0=1.0, m_half="5"),
+], ids=["stehfest-float", "weeks-rule-half", "weeks-m-float",
+        "talbot-half", "dehoog-rule-half", "dehoog-str"])
+def test_params_reject_non_integer_orders(make):
+    # these used to construct, with n_coeffs=11.5 or m_half=5.0 say
+    with pytest.raises(ValueError, match="integer"):
+        make()
+    # numpy integers are integers
+    alg.StehfestParams(np.int64(12))
+    alg.WeeksParams(kappa=0.1, b=1.0, n_coeffs=np.int32(3), m_half=np.int64(4))
+    alg.TalbotParams(r=1.0, n_nodes=np.int64(12))
+    alg.DeHoogParams(big_t=2.0, gamma0=1.0, m_half=np.int16(5))
+
+
 def test_per_time_counts_before_dedup():
     grid = make_time_grid(0.01, 10.0, 15)
     for method in ("schapery", "weeks", "talbot", "dehoog"):

@@ -55,6 +55,20 @@ def test_negative_terms_rejected(tmp_path):
                      "--mesh-density", "2", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers, monkeypatch):
+    # 0 divided by zero in solve_ahead, and -1 ran as if it were 1
+    def no_solve(*args):
+        raise AssertionError("a BEM solve ran for a bad worker count")
+
+    monkeypatch.setattr(bem, "assemble", no_solve)
+    config = harness.ExperimentConfig(experiment="A", workers=workers, **TINY)
+    with pytest.raises(harness.ConfigError, match="workers must be >= 1"):
+        config.resolved()
+    with pytest.raises(harness.ConfigError, match="workers must be >= 1"):
+        harness.run_experiment(config)
+
+
 @pytest.mark.parametrize("point", [(-1.0, 1.0), (3.5, 1.0), (math.nan, 1.0)])
 def test_observation_outside_mesh_rejected(point, monkeypatch):
     def no_solve(*args):
