@@ -217,10 +217,10 @@ class _LayerQuadrature:
     rule, or the composite rule within NEAR_FIELD_FACTOR element lengths.
     The pair's G entry is g @ K0(q r) and its H entry q (h @ K1(q r)).
     A set of points also gets grad_g and grad_h: the same weights times
-    the unit direction from the point, x rows and then y rows.  A target on an
-    element's midpoint is that element's collocation point: its row is
-    empty, and the pair is left to the self integral, which samples K0 at
-    the distances r[self_index[k]] on half the element.
+    the unit direction from the point, x rows and then y rows.  A target
+    on an element's midpoint is that element's collocation point: its row
+    is empty, and the pair is left to the self integral, which samples K0
+    at the distances r[self_index[k]] on half the element.
     """
 
     g: sparse.csr_array
@@ -320,20 +320,20 @@ def kernel_arguments(mesh: BoundaryMesh, point) -> int:
 def assemble(mesh: BoundaryMesh, q) -> HelmholtzSystem:
     """Collocation matrices H (double layer + 1/2 jump) and G (single layer).
 
-    Requires Re(q) > 0 so the kernel decays.  A q whose imaginary part is
-    zero, of either sign, is taken as the real number Re(q): the kernels
-    and both matrices are then float64.  Off-diagonal entries use
-    Gauss-Legendre quadrature with near-field subdivision; the singular
-    diagonal of G subtracts and integrates the log singularity in closed
-    form, and the flat-element diagonal of H is exactly the 1/2 jump term.
-    The quadrature operators are built once per mesh, and K0/K1 are
-    evaluated once per distinct distance.  A 1-D array q gives (k, n, n)
-    stacks, float64 only when every imaginary part is zero: a real q in a
-    complex array is solved in complex arithmetic.
+    Requires a finite q with Re(q) > 0 so the kernel decays.  A q whose
+    imaginary part is zero, of either sign, is taken as the real number
+    Re(q): the kernels and both matrices are then float64.  Off-diagonal
+    entries use Gauss-Legendre quadrature with near-field subdivision; the
+    singular diagonal of G subtracts and integrates the log singularity in
+    closed form, and the flat-element diagonal of H is exactly the 1/2
+    jump term.  The quadrature operators are built once per mesh, and
+    K0/K1 are evaluated once per distinct distance.  A 1-D array q gives
+    (k, n, n) stacks, float64 only when every imaginary part is zero: a
+    real q in a complex array is solved in complex arithmetic.
     """
     qs = np.atleast_1d(np.asarray(q, dtype=complex))
-    if np.any(qs.real <= 0):
-        raise ValueError("assemble requires Re(q) > 0 (principal sqrt of p)")
+    if not np.all(np.isfinite(qs) & (qs.real > 0)):
+        raise ValueError("assemble requires a finite q with Re(q) > 0 (principal sqrt of p)")
     if np.all(qs.imag == 0):
         qs = qs.real
     quad = mesh._assembly_quadrature

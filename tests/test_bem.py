@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -146,8 +147,10 @@ def test_mesh_hashes_and_compares_by_identity():
 
 def test_assemble_requires_right_half_plane_q():
     mesh = bem.benchmark_rectangle_mesh(2)
-    with pytest.raises(ValueError):
-        bem.assemble(mesh, -1.0 + 0.5j)
+    # a non-finite q is refused as input, before any kernel is evaluated
+    for q in (-1.0 + 0.5j, math.inf, [1.0, math.inf], math.nan):
+        with pytest.raises(ValueError):
+            bem.assemble(mesh, q)
 
 
 def test_kernel_decay_at_large_real_q(mesh4):
